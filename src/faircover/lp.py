@@ -6,6 +6,14 @@ budget turns pathological stalls into a loud NumericalFailure instead of a
 hang. Zero-rhs ">=" rows (the relaxations' coverage rows
 sum x - y_e >= 0) start from their slack, so phase one only has to drive
 out the artificials of the quota equalities and of a positive target row.
+
+An LpProblem holds read-only numpy arrays: the constraint matrix A, one
+relation string per row and the right-hand sides rhs. The relaxation
+builders fill A directly (LpProblem.from_arrays); the constructor takes
+(row, rel, rhs) triples, and the constraints property gives them back.
+Every simplex pivot, phase one's drive-out of artificials included, goes
+through one tableau-update step (_pivot).
+
 Anything implementing solve(problem) -> LpSolution with the same statuses
 can be swapped in through the lp_solver arguments downstream.
 """
@@ -14,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,14 +43,20 @@ Relation = str  # one of "<=", ">=", "="
 _RELATIONS = ("<=", ">=", "=")
 
 
-@dataclass(frozen=True)
 class LpProblem:
-    """min or max of objective . x subject to linear constraints and box bounds."""
+    """min or max of objective . x subject to A x (relations) rhs and box
+    bounds, one (lo, hi) row per variable ([0, 1] when bounds is None).
+
+    The arrays are read-only. constraints gives the rows back as
+    (row, relation, rhs) triples.
+    """
 
     sense: str
-    objective: tuple[float, ...]
-    constraints: tuple[tuple[tuple[float, ...], Relation, float], ...]
-    bounds: tuple[tuple[float, float], ...]
+    objective: np.ndarray  # (nvar,)
+    A: np.ndarray  # (m, nvar)
+    relations: tuple[Relation, ...]  # (m,)
+    rhs: np.ndarray  # (m,)
+    bounds: np.ndarray  # (nvar, 2)
 
     def __init__(
         self,
@@ -50,42 +65,89 @@ class LpProblem:
         constraints: Sequence[tuple[Sequence[float], Relation, float]],
         bounds: Sequence[tuple[float, float]] | None = None,
     ):
+        obj = np.array(objective, dtype=float)
+        rows, rels, rhs = [], [], []
+        for idx, (row, rel, b) in enumerate(constraints):
+            if len(row) != len(obj):
+                raise DimensionMismatch(
+                    f"constraint {idx} has {len(row)} coefficients for {len(obj)} variables"
+                )
+            rows.append(row)
+            rels.append(rel)
+            rhs.append(b)
+        A = np.array(rows, dtype=float).reshape(len(rows), len(obj))
+        self._set(sense, obj, A, rels, np.array(rhs, dtype=float), bounds)
+
+    @classmethod
+    def from_arrays(
+        cls,
+        sense: str,
+        objective: np.ndarray,
+        A: np.ndarray,
+        relations: Sequence[Relation],
+        rhs: np.ndarray,
+        bounds: np.ndarray | None = None,
+    ) -> "LpProblem":
+        """Build from the constraint matrix without copying it: float64
+        arrays passed in become the problem's own and are made read-only."""
+        problem = cls.__new__(cls)
+        problem._set(sense, objective, A, relations, rhs, bounds)
+        return problem
+
+    def _set(self, sense, objective, A, relations, rhs, bounds) -> None:
         if sense not in ("min", "max"):
             raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
-        obj = tuple(float(c) for c in objective)
-        cons = tuple(
-            (tuple(float(a) for a in row), rel, float(rhs))
-            for row, rel, rhs in constraints
-        )
+        obj = np.asarray(objective, dtype=float)
+        A = np.asarray(A, dtype=float)
+        rels = tuple(relations)
+        b = np.asarray(rhs, dtype=float)
         nvar = len(obj)
-        for idx, (row, rel, _) in enumerate(cons):
+        if obj.ndim != 1 or A.shape != (len(rels), nvar) or b.shape != (len(rels),):
+            raise DimensionMismatch(
+                f"objective {obj.shape}, A {A.shape}, {len(rels)} relations "
+                f"and rhs {b.shape} do not agree"
+            )
+        for idx, rel in enumerate(rels):
             if rel not in _RELATIONS:
                 raise ValueError(f"constraint {idx}: unknown relation {rel!r}")
-            if len(row) != nvar:
-                raise DimensionMismatch(
-                    f"constraint {idx} has {len(row)} coefficients for {nvar} variables"
-                )
         if bounds is None:
-            bnds = tuple((0.0, 1.0) for _ in range(nvar))
+            bnds = np.repeat([[0.0, 1.0]], nvar, axis=0)
         else:
-            bnds = tuple((float(lo), float(hi)) for lo, hi in bounds)
+            bnds = np.array(bounds, dtype=float)
             if len(bnds) != nvar:
-                raise DimensionMismatch(
-                    f"{len(bnds)} bounds for {nvar} variables"
-                )
-        for j, (lo, hi) in enumerate(bnds):
-            if not math.isfinite(lo):
-                raise ValueError(f"variable {j}: lower bound must be finite")
-            if hi < lo:
-                raise ValueError(f"variable {j}: empty bound interval [{lo}, {hi}]")
-        object.__setattr__(self, "sense", sense)
-        object.__setattr__(self, "objective", obj)
-        object.__setattr__(self, "constraints", cons)
-        object.__setattr__(self, "bounds", bnds)
+                raise DimensionMismatch(f"{len(bnds)} bounds for {nvar} variables")
+            bnds = bnds.reshape(nvar, 2)
+        lo, hi = bnds[:, 0], bnds[:, 1]
+        bad = np.flatnonzero(~np.isfinite(lo))
+        if bad.size:
+            raise ValueError(f"variable {bad[0]}: lower bound must be finite")
+        bad = np.flatnonzero(hi < lo)
+        if bad.size:
+            j = bad[0]
+            raise ValueError(f"variable {j}: empty bound interval [{lo[j]}, {hi[j]}]")
+        for a in (obj, A, b, bnds):
+            a.flags.writeable = False
+        self.sense = sense
+        self.objective = obj
+        self.A = A
+        self.relations = rels
+        self.rhs = b
+        self.bounds = bnds
 
     @property
     def num_vars(self) -> int:
         return len(self.objective)
+
+    @cached_property
+    def constraints(self) -> tuple[tuple[np.ndarray, Relation, float], ...]:
+        return tuple(zip(self.A, self.relations, self.rhs.tolist()))
+
+    def __repr__(self) -> str:
+        return (
+            f"LpProblem({self.sense!r}, objective={self.objective.tolist()}, "
+            f"constraints={[(r.tolist(), rel, b) for r, rel, b in self.constraints]}, "
+            f"bounds={self.bounds.tolist()})"
+        )
 
 
 @dataclass(frozen=True)
@@ -104,154 +166,126 @@ _INFEASIBLE = LpSolution("infeasible", (), math.nan)
 _UNBOUNDED = LpSolution("unbounded", (), math.nan)
 
 
-def _pivot_loop(T: np.ndarray, basis: list[int], cost: np.ndarray, budget: int) -> str:
-    """Run Bland-rule simplex pivots on tableau T in place.
+def _pivot(T: np.ndarray, leave: int, enter: int) -> None:
+    """Make column enter basic in row leave. Row leave is divided by the
+    pivot and every other row r loses T[r, enter] times that row; the leave
+    row's own update is discarded and overwritten."""
+    prow = T[leave] / T[leave, enter]
+    T -= T[:, enter, None] * prow
+    T[leave] = prow
+
+
+def _pivot_loop(T: np.ndarray, basis: np.ndarray, cost: np.ndarray, budget: int) -> str:
+    """Run Bland-rule simplex pivots on tableau T and basis (an intp array,
+    one basic column per row) in place.
 
     T is m x (ncols+1) with the rhs in the last column and b >= 0 maintained
-    throughout. Returns 'optimal' or 'unbounded'.
+    throughout. Returns 'optimal' or 'unbounded'. The reduced costs are
+    recomputed from cost on every pivot rather than carried as a tableau
+    row, so rounding never accumulates in them.
     """
-    m, width = T.shape
-    ncols = width - 1
-    basic = set(basis)
+    ncols = T.shape[1] - 1
+    nonbasic = np.ones(ncols, dtype=bool)
+    nonbasic[basis] = False
     for _ in range(budget):
         reduced = cost - cost[basis] @ T[:, :ncols]
-        candidates = np.flatnonzero(reduced < -_PIVOT_TOL)
-        enter = -1
-        for j in candidates:
-            if j not in basic:
-                enter = int(j)
-                break
-        if enter < 0:
+        # Bland: the smallest-index improving nonbasic column enters.
+        eligible = (reduced < -_PIVOT_TOL) & nonbasic
+        enter = int(eligible.argmax())
+        if not eligible[enter]:
             return "optimal"
         col = T[:, enter]
-        rows = np.flatnonzero(col > _PIVOT_TOL)
+        rows = (col > _PIVOT_TOL).nonzero()[0]
         if rows.size == 0:
             return "unbounded"
         ratios = T[rows, ncols] / col[rows]
-        best = ratios.min()
         # Bland tie-break: among minimizing rows leave the smallest basic index.
-        tied = rows[ratios <= best + _PIVOT_TOL]
-        leave = min(tied, key=lambda r: basis[r])
-        piv = T[leave, enter]
-        T[leave] /= piv
-        other = np.arange(m) != leave
-        T[other] -= np.outer(T[other, enter], T[leave])
-        basic.discard(basis[leave])
-        basic.add(enter)
+        tied = rows[ratios <= ratios.min() + _PIVOT_TOL]
+        leave = int(tied[basis[tied].argmin()])
+        _pivot(T, leave, enter)
+        nonbasic[basis[leave]] = True
+        nonbasic[enter] = False
         basis[leave] = enter
     raise NumericalFailure(f"pivot budget {budget} exhausted")
 
 
 def solve(problem: LpProblem) -> LpSolution:
-    """Two-phase simplex over the given problem.
+    """Two-phase simplex over the given problem, read from its arrays.
 
     Lower bounds are shifted to zero and finite upper bounds become
     explicit rows. Rows are then negated so every rhs is nonnegative, and
     a ">=" row whose rhs is exactly zero is negated into a "<=" row, so it
     starts from its slack. Phase one runs only when "=" rows or ">=" rows
-    with a positive rhs remain; each of those gets an artificial. The
-    reported objective is recomputed from the original coefficients so
-    tableau drift never leaks into comparisons.
+    with a positive rhs remain; each of those gets an artificial, and the
+    artificials still basic at zero are pivoted out with the same step as
+    every other pivot. The reported objective is recomputed from the
+    original coefficients so tableau drift never leaks into comparisons.
     """
     nvar = problem.num_vars
     if nvar == 0:
         return LpSolution("optimal", (), 0.0)
-    lo = np.array([b[0] for b in problem.bounds])
-    hi = np.array([b[1] for b in problem.bounds])
-    c_orig = np.array(problem.objective)
+    lo = problem.bounds[:, 0]
+    hi = problem.bounds[:, 1]
+    c_orig = problem.objective
     c = c_orig if problem.sense == "min" else -c_orig
 
-    rows: list[np.ndarray] = []
-    rels: list[str] = []
-    rhs: list[float] = []
-    for row, rel, b in problem.constraints:
-        a = np.array(row)
-        rows.append(a)
-        rels.append(rel)
-        rhs.append(b - float(a @ lo))
-    for j in range(nvar):
-        if math.isfinite(hi[j]) and hi[j] > lo[j]:
-            e = np.zeros(nvar)
-            e[j] = 1.0
-            rows.append(e)
-            rels.append("<=")
-            rhs.append(hi[j] - lo[j])
-        # hi == lo pins the shifted variable at zero; the bound row x' <= 0
-        # would be redundant with nonnegativity, so skip it.
+    # hi == lo pins the shifted variable at zero; the bound row x' <= 0
+    # would be redundant with nonnegativity, so skip it.
+    capped = np.flatnonzero(np.isfinite(hi) & (hi > lo))
+    m_in = len(problem.relations)
+    m = m_in + capped.size
+    b = np.concatenate((problem.rhs - problem.A @ lo, hi[capped] - lo[capped]))
+    rels = np.array(problem.relations + ("<=",) * capped.size, dtype="<U2")
 
-    m = len(rows)
-    A = np.array(rows) if m else np.zeros((0, nvar))
-    b = np.array(rhs) if m else np.zeros(0)
-    for i in range(m):
-        # Flip negative rhs rows so b >= 0, and also flip ">=" rows whose rhs
-        # is exactly zero: as "<=" rows their slack is a feasible starting
-        # basis, so they need neither a surplus nor an artificial.
-        if b[i] < 0 or (b[i] == 0 and rels[i] == ">="):
-            A[i] = -A[i]
-            b[i] = abs(b[i])  # abs, not negation: keeps a zero rhs at +0.0
-            rels[i] = {"<=": ">=", ">=": "<=", "=": "="}[rels[i]]
+    # Flip negative rhs rows so b >= 0, and also flip ">=" rows whose rhs
+    # is exactly zero: as "<=" rows their slack is a feasible starting
+    # basis, so they need neither a surplus nor an artificial.
+    le, ge = rels == "<=", rels == ">="
+    flip = (b < 0) | ((b == 0) & ge)
+    b[flip] = np.abs(b[flip])  # abs, not negation: keeps a zero rhs at +0.0
+    le, ge = np.where(flip, ge, le), np.where(flip, le, ge)
 
-    n_slack = sum(1 for r in rels if r == "<=")
-    n_surp = sum(1 for r in rels if r == ">=")
-    n_art = sum(1 for r in rels if r in (">=", "="))
-    ncols = nvar + n_slack + n_surp + n_art
+    slack_rows = np.flatnonzero(le)
+    surplus_rows = np.flatnonzero(ge)
+    art_rows = np.flatnonzero(~le)
+    first_art = nvar + slack_rows.size + surplus_rows.size
+    ncols = first_art + art_rows.size
     T = np.zeros((m, ncols + 1))
-    T[:, :nvar] = A
+    T[:m_in, :nvar] = problem.A
+    T[m_in + np.arange(capped.size), capped] = 1.0
+    T[flip, :nvar] = -T[flip, :nvar]
     T[:, ncols] = b
-    basis: list[int] = []
-    s = nvar
-    u = nvar + n_slack
-    a_col = nvar + n_slack + n_surp
-    art_cols = []
-    for i, rel in enumerate(rels):
-        if rel == "<=":
-            T[i, s] = 1.0
-            basis.append(s)
-            s += 1
-        else:
-            if rel == ">=":
-                T[i, u] = -1.0
-                u += 1
-            T[i, a_col] = 1.0
-            basis.append(a_col)
-            art_cols.append(a_col)
-            a_col += 1
+    basis = np.empty(m, dtype=np.intp)
+    basis[slack_rows] = nvar + np.arange(slack_rows.size)
+    T[slack_rows, basis[slack_rows]] = 1.0
+    T[surplus_rows, nvar + slack_rows.size + np.arange(surplus_rows.size)] = -1.0
+    basis[art_rows] = first_art + np.arange(art_rows.size)
+    T[art_rows, basis[art_rows]] = 1.0
 
     budget = 50 * (ncols + m)
 
-    if art_cols:
+    if art_rows.size:
         cost1 = np.zeros(ncols)
-        cost1[art_cols] = 1.0
+        cost1[first_art:] = 1.0
         status = _pivot_loop(T, basis, cost1, budget)
         if status != "optimal":
             # Phase one is bounded below by 0, so this only happens when the
             # tableau has lost its numerical integrity.
             raise NumericalFailure(f"phase one came back {status}")
-        scale = max(1.0, float(np.max(b)) if m else 1.0)
+        scale = max(1.0, float(b.max()))
         if cost1[basis] @ T[:, ncols] > 1e-8 * scale:
             return _INFEASIBLE
         # Pivot leftover zero-valued artificials out of the basis when possible.
-        art_set = set(art_cols)
-        for i in range(m):
-            if basis[i] in art_set:
-                options = [
-                    j
-                    for j in range(ncols)
-                    if j not in art_set and abs(T[i, j]) > _PIVOT_TOL
-                ]
-                if options:
-                    enter = options[0]
-                    T[i] /= T[i, enter]
-                    other = np.arange(m) != i
-                    T[other] -= np.outer(T[other, enter], T[i])
-                    basis[i] = enter
-        keep_rows = [i for i in range(m) if basis[i] not in art_set]
-        keep_cols = [j for j in range(ncols) if j not in art_set] + [ncols]
-        remap = {old: new for new, old in enumerate(keep_cols[:-1])}
-        T = T[np.ix_(keep_rows, keep_cols)]
-        basis = [remap[basis[i]] for i in keep_rows]
-        m = T.shape[0]
-        ncols = T.shape[1] - 1
+        for i in np.flatnonzero(basis >= first_art):
+            options = np.flatnonzero(np.abs(T[i, :first_art]) > _PIVOT_TOL)
+            if options.size:
+                _pivot(T, i, options[0])
+                basis[i] = options[0]
+        # Drop the artificial columns and the rows whose artificial stayed.
+        keep = basis < first_art
+        T = T[np.ix_(keep, np.r_[:first_art, ncols])]
+        basis = basis[keep]
+        ncols = first_art
 
     cost2 = np.zeros(ncols)
     cost2[:nvar] = c
@@ -263,18 +297,19 @@ def solve(problem: LpProblem) -> LpSolution:
     x_shift[basis] = T[:, ncols]
     x = lo + x_shift[:nvar]
 
-    for idx, (row, rel, bb) in enumerate(problem.constraints):
-        resid = float(np.array(row) @ x) - bb
-        violated = (
-            (rel == "=" and abs(resid) > 1e-6)
-            or (rel == "<=" and resid > 1e-6)
-            or (rel == ">=" and resid < -1e-6)
+    resid = problem.A @ x - problem.rhs
+    rel = rels[:m_in]
+    violated = np.flatnonzero(
+        ((rel == "=") & (np.abs(resid) > 1e-6))
+        | ((rel == "<=") & (resid > 1e-6))
+        | ((rel == ">=") & (resid < -1e-6))
+    )
+    if violated.size:
+        idx = violated[0]
+        raise NumericalFailure(
+            f"constraint {idx} residual {resid[idx]:.3e} after optimal pivot"
         )
-        if violated:
-            raise NumericalFailure(
-                f"constraint {idx} residual {resid:.3e} after optimal pivot"
-            )
-    return LpSolution("optimal", tuple(float(v) for v in x), float(c_orig @ x))
+    return LpSolution("optimal", tuple(x.tolist()), float(c_orig @ x))
 
 
 def lp_variable_order(
@@ -295,7 +330,11 @@ def _relaxation_parts(
     remaining_sets: Sequence[Sequence[int]],
     uncovered_elems: Sequence[int],
     per_round: Sequence[int],
+    target_row: bool = False,
 ):
+    """Shared rows of both relaxations: one quota equality per active color,
+    then one coverage row sum x - y_e >= 0 per uncovered element, then (with
+    target_row) a zero row left for the caller to fill."""
     uncovered = sorted(set(uncovered_elems))
     if not uncovered:
         raise ValueError("relaxation needs at least one uncovered element")
@@ -311,27 +350,21 @@ def _relaxation_parts(
     x_ids = [i for g in groups for i in g]
     nx = len(x_ids)
     ny = len(uncovered)
-    nvar = nx + ny
+    nq = len(groups)
 
-    constraints: list[tuple[list[float], str, float]] = []
+    A = np.zeros((nq + ny + target_row, nx + ny))
+    rhs = np.zeros(len(A))
+    rhs[:nq] = quotas
     pos = 0
-    for g, p in zip(groups, quotas):
-        row = [0.0] * nvar
-        for off in range(len(g)):
-            row[pos + off] = 1.0
-        constraints.append((row, "=", float(p)))
+    for h, g in enumerate(groups):
+        A[h, pos : pos + len(g)] = 1.0
         pos += len(g)
-    col_of = {i: idx for idx, i in enumerate(x_ids)}
-    for t, e in enumerate(uncovered):
-        # Elements no remaining set touches get the row 0 - y_e >= 0,
-        # which pins y_e to zero without special casing.
-        row = [0.0] * nvar
-        for i in system.element_sets[e]:
-            if i in col_of:
-                row[col_of[i]] = 1.0
-        row[nx + t] = -1.0
-        constraints.append((row, ">=", 0.0))
-    return uncovered, x_ids, nx, ny, constraints
+    # Elements no remaining set touches get the row 0 - y_e >= 0,
+    # which pins y_e to zero without special casing.
+    A[nq : nq + ny, :nx] = system.incidence[np.ix_(uncovered, x_ids)]
+    A[nq + np.arange(ny), nx + np.arange(ny)] = -1.0
+    relations = ("=",) * nq + (">=",) * (ny + target_row)
+    return uncovered, x_ids, nx, ny, A, relations, rhs
 
 
 def build_mkcc_lp(
@@ -347,11 +380,12 @@ def build_mkcc_lp(
     Each active color's x mass is pinned to its quota; y_e is held below
     the mass of sets containing e. Maximize sum of y.
     """
-    _, _, nx, ny, constraints = _relaxation_parts(
+    _, _, nx, ny, A, relations, rhs = _relaxation_parts(
         system, remaining_sets, uncovered_elems, per_round
     )
-    objective = [0.0] * nx + [1.0] * ny
-    return LpProblem("max", objective, constraints)
+    objective = np.zeros(nx + ny)
+    objective[nx:] = 1.0
+    return LpProblem.from_arrays("max", objective, A, relations, rhs)
 
 
 def build_weighted_mkcc_lp(
@@ -362,15 +396,16 @@ def build_weighted_mkcc_lp(
     tau: int,
 ) -> LpProblem:
     """Weight-minimizing relaxation forced to cover at least tau new elements."""
-    uncovered, x_ids, nx, ny, constraints = _relaxation_parts(
-        system, remaining_sets, uncovered_elems, per_round
+    uncovered, x_ids, nx, ny, A, relations, rhs = _relaxation_parts(
+        system, remaining_sets, uncovered_elems, per_round, target_row=True
     )
     if not (1 <= tau <= len(uncovered)):
         raise ValueError(f"tau must lie in [1, {len(uncovered)}], got {tau}")
-    row = [0.0] * nx + [1.0] * ny
-    constraints.append((row, ">=", float(tau)))
-    objective = [system.weight(i) for i in x_ids] + [0.0] * ny
-    return LpProblem("min", objective, constraints)
+    A[-1, nx:] = 1.0
+    rhs[-1] = tau
+    objective = np.zeros(nx + ny)
+    objective[:nx] = [system.weight(i) for i in x_ids]
+    return LpProblem.from_arrays("min", objective, A, relations, rhs)
 
 
 def color_sampling_probs(

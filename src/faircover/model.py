@@ -16,6 +16,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import NegativeFraction, SumNotOne, ZeroFractionViolated
 
 
@@ -98,6 +100,17 @@ class SetSystem:
                 if 0 <= e < self.n:
                     containing[e].append(i)
         return tuple(tuple(c) for c in containing)
+
+    @cached_property
+    def incidence(self) -> np.ndarray:
+        """Read-only n x num_sets 0/1 float matrix: entry (e, i) is 1 when
+        set i contains element e (elements outside [0, n) are ignored, as
+        in element_sets)."""
+        inc = np.zeros((self.n, self.num_sets))
+        for e, containing in enumerate(self.element_sets):
+            inc[e, list(containing)] = 1.0
+        inc.flags.writeable = False
+        return inc
 
     @property
     def group_sizes(self) -> tuple[int, ...]:
@@ -196,9 +209,9 @@ class FairnessSpec:
 
     @cached_property
     def per_round(self) -> tuple[int, ...]:
-        counts = tuple(int(f * self.p) for f in self.fractions)
-        assert sum(counts) == self.p
-        return counts
+        # Exact: p is a multiple of every denominator, and __init__ checked
+        # that the fractions sum to 1, so the counts sum to p.
+        return tuple(int(f * self.p) for f in self.fractions)
 
 
 def fairness_spec_from_fractions(

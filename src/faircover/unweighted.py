@@ -184,14 +184,15 @@ def best_coverage_tuple(
             f"{count} candidate tuples per round exceeds budget {tuple_budget}; "
             "use an LP or greedy subroutine instead"
         )
+    # _check_availability leaves every active color at least its quota of
+    # sets, so the tuple product is non-empty and best_ids gets set.
     best_key = None
-    best_ids: tuple[int, ...] | None = None
+    best_ids: tuple[int, ...] = ()
     for ids in _iter_tuples(state.remaining, per_round):
         key = (-state.new_coverage(system, ids), ids)
         if best_key is None or key < best_key:
             best_key = key
             best_ids = ids
-    assert best_ids is not None
     return best_ids
 
 

@@ -171,3 +171,28 @@ def fresh_state(system: SetSystem):
     from faircover.unweighted import GreedyState
 
     return GreedyState.fresh(system)
+
+
+def c01_instance(idx: int):
+    """Instance idx of acceptance criterion 01's 200-instance mix, as
+    (system, spec). Even idx: two colors, alternating between a (1/3, 2/3)
+    split of 4 + 8 sets and weighted count parity; odd idx: three colors.
+    n cycles through 10 .. 40."""
+    from faircover.io_generators import gen_synthetic
+    from faircover.model import FairnessSpec, count_parity
+
+    n = 10 + (idx * 7) % 31
+    if idx % 2 == 1:
+        sys_ = gen_synthetic(n, 6, 3, coverage_dist=("uniform", 0.35), seed=idx)
+        return sys_, count_parity(3)
+    if idx % 4 == 0:
+        base = gen_synthetic(n, 4, 3, coverage_dist=("uniform", 0.35), seed=idx)
+        sys_ = SetSystem(base.n, base.sets, [0] * 4 + [1] * 8, base.weights)
+        return sys_, FairnessSpec(["1/3", "2/3"])
+    sys_ = gen_synthetic(
+        n, 8, 2,
+        coverage_dist=("uniform", 0.35),
+        weight_dist=("uniform", 0.5, 3.0),
+        seed=idx,
+    )
+    return sys_, count_parity(2)

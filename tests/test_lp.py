@@ -18,7 +18,7 @@ from faircover.lp import (
 )
 from faircover.model import SetSystem
 
-from support import enumerate_lp
+from support import c01_instance, enumerate_lp
 
 
 def square_system():
@@ -175,6 +175,42 @@ def test_phase_one_failure_is_typed(monkeypatch):
     lp = LpProblem("min", [1.0, 2.0], [([1.0, 1.0], "=", 1.0)])
     with pytest.raises(NumericalFailure):
         solve(lp)
+
+
+# ------------------------------------------------------------ pivot kernel
+
+
+def test_pivot_budget_exhaustion_is_typed():
+    # min -x0 - x1 with slack rows x0 <= 1, x1 <= 1 needs two pivots from
+    # the slack basis and a third pass to see that no column improves: a
+    # budget of two passes must fail loudly, three must finish.
+    import faircover.lp as lp_mod
+
+    def tableau():
+        T = np.array([[1.0, 0.0, 1.0, 0.0, 1.0], [0.0, 1.0, 0.0, 1.0, 1.0]])
+        return T, np.array([2, 3], dtype=np.intp)
+
+    cost = np.array([-1.0, -1.0, 0.0, 0.0])
+    T, basis = tableau()
+    with pytest.raises(NumericalFailure):
+        lp_mod._pivot_loop(T, basis, cost, 2)
+    T, basis = tableau()
+    assert lp_mod._pivot_loop(T, basis, cost, 3) == "optimal"
+    assert sorted(basis.tolist()) == [0, 1]
+    assert T[:, -1].tolist() == [1.0, 1.0]
+
+
+def test_ratio_tie_leaves_smallest_basic_index():
+    # max x1 s.t. x0 + x1 - x2 = 1 on [0, 1]^3 has optima (0, 1, 0) and
+    # (1, 1, 1). Phase one's first pivot brings x0 in with a ratio tie
+    # between the equality row (basic: its artificial, the largest column)
+    # and the bound row x0 <= 1 (basic: its slack). Bland's rule drops the
+    # slack, which leads to (1, 1, 1); leaving the first tied row or the
+    # largest basic index would end at (0, 1, 0).
+    lp = LpProblem("max", [0.0, 1.0, 0.0], [([1.0, 1.0, -1.0], "=", 1.0)])
+    sol = assert_matches_enumeration(lp)
+    assert sol.values == (1.0, 1.0, 1.0)
+    assert sol.objective == 1.0
 
 
 # ------------------------------------------- randomized oracle cross-check
@@ -413,30 +449,7 @@ def highs_solve(lp):
 def c01_instances():
     """Every 13th of criterion 01's 200 instances: all three of its kinds at
     n = 10 .. 40, too large for vertex enumeration."""
-    from faircover.io_generators import gen_synthetic
-    from faircover.model import FairnessSpec, count_parity
-
-    out = []
-    for idx in range(0, 200, 13):
-        k = 2 if idx % 2 == 0 else 3
-        n = 10 + (idx * 7) % 31
-        if k == 3:
-            sys_ = gen_synthetic(n, 6, 3, coverage_dist=("uniform", 0.35), seed=idx)
-            spec = count_parity(3)
-        elif idx % 4 == 0:
-            base = gen_synthetic(n, 4, 3, coverage_dist=("uniform", 0.35), seed=idx)
-            sys_ = SetSystem(base.n, base.sets, [0] * 4 + [1] * 8)
-            spec = FairnessSpec(["1/3", "2/3"])
-        else:
-            sys_ = gen_synthetic(
-                n, 8, 2,
-                coverage_dist=("uniform", 0.35),
-                weight_dist=("uniform", 0.5, 3.0),
-                seed=idx,
-            )
-            spec = count_parity(2)
-        out.append((sys_, spec))
-    return out
+    return [c01_instance(idx) for idx in range(0, 200, 13)]
 
 
 def test_solver_matches_highs_on_c01_relaxations():
