@@ -62,7 +62,6 @@ from .model import (
     count_parity,
     delta,
     fairness_report,
-    fairness_spec_from_fractions,
     ratio_parity,
     validate_instance,
 )

@@ -31,7 +31,7 @@ from .model import (
 )
 from .multicover import MulticoverInstance, fair_multicover_greedy
 from .oracles import opt_fair_cover, opt_set_cover
-from .unweighted import TUPLE_BUDGET, eff_fsc, greedy_allpick, greedy_set_cover, naive_fsc
+from .unweighted import eff_fsc, greedy_allpick, greedy_set_cover, naive_fsc
 from .weighted import eff_wfsc, greedy_weighted_allpick, naive_wfsc
 
 REPORT_SCHEMA = "faircover.report/1"
@@ -50,10 +50,6 @@ ALGORITHMS = (
     "opt-sc",
     "opt-fair",
 )
-
-# Algorithms that enumerate all quota tuples each round and must be refused
-# when the instance is too wide.
-_EXHAUSTIVE = {"allpick", "wfsc-allpick", "gfsc", "multicover"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -172,26 +168,6 @@ def _requirements(args, system) -> tuple[int, ...]:
     return tuple([const] * system.n)
 
 
-def _refuse_oversized(algo: str, system, spec: FairnessSpec) -> None:
-    if algo not in _EXHAUSTIVE:
-        return
-    count = 1
-    for h, p in enumerate(spec.per_round):
-        if p > 0 and h < system.num_colors:
-            count *= _comb(len(system.sets_by_color[h]), p)
-    if count > TUPLE_BUDGET:
-        raise BudgetExceeded(
-            f"{count} candidate tuples per round exceeds {TUPLE_BUDGET}; "
-            "try --algo eff-greedy or eff-lp"
-        )
-
-
-def _comb(n: int, k: int) -> int:
-    import math
-
-    return math.comb(n, k) if 0 <= k <= n else 0
-
-
 def _run_algorithm(algo: str, system, spec: FairnessSpec, args) -> Cover | None:
     rng = np.random.default_rng(args.seed)
     if algo == "sc":
@@ -282,7 +258,6 @@ def _cmd_solve(args) -> int:
     if not outcome.ok:
         raise ValueError(f"instance failed validation: {outcome}")
     spec = _make_spec(args, system)
-    _refuse_oversized(args.algo, system, spec)
     start = time.perf_counter()
     cover = _run_algorithm(args.algo, system, spec, args)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
@@ -317,7 +292,6 @@ def _cmd_compare(args) -> int:
             system = _load_system(trial_args)
             spec = _make_spec(args, system)
             try:
-                _refuse_oversized(algo, system, spec)
                 start = time.perf_counter()
                 cover = _run_algorithm(algo, system, spec, trial_args)
                 elapsed_ms = (time.perf_counter() - start) * 1000.0
@@ -398,7 +372,9 @@ def main(argv=None) -> int:
             return _cmd_solve(args)
         return _cmd_compare(args)
     except BudgetExceeded as exc:
-        print(f"refused: {exc}", file=sys.stderr)
+        # An exhaustive algorithm refused before enumerating; the subroutine
+        # engines never enumerate.
+        print(f"refused: {exc}; try --algo eff-greedy or eff-lp", file=sys.stderr)
         return 2
     except (ParseError, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -21,6 +21,26 @@ import numpy as np
 from .errors import NegativeFraction, SumNotOne, ZeroFractionViolated
 
 
+def mask_of(elements: Iterable[int], n: int) -> int:
+    """Bitmask with bit e set for every element e in [0, n); other ids are
+    ignored."""
+    m = 0
+    for e in elements:
+        if 0 <= e < n:
+            m |= 1 << e
+    return m
+
+
+def elements_of(mask: int) -> list[int]:
+    """The elements whose bits are set in mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 @dataclass(frozen=True)
 class SetSystem:
     """A universe of n elements plus a colored (and optionally weighted) set family.
@@ -80,8 +100,10 @@ class SetSystem:
         return 1.0 if self.weights is None else self.weights[i]
 
     @cached_property
-    def frozen_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(s) for s in self.sets)
+    def masks(self) -> tuple[int, ...]:
+        """Each set as an int bitmask: bit e is set when the set contains
+        element e (elements outside [0, n) are ignored, as in element_sets)."""
+        return tuple(mask_of(s, self.n) for s in self.sets)
 
     @cached_property
     def sets_by_color(self) -> tuple[tuple[int, ...], ...]:
@@ -212,12 +234,6 @@ class FairnessSpec:
         # Exact: p is a multiple of every denominator, and __init__ checked
         # that the fractions sum to 1, so the counts sum to p.
         return tuple(int(f * self.p) for f in self.fractions)
-
-
-def fairness_spec_from_fractions(
-    fractions: Iterable[Fraction | int | str | tuple[int, int]],
-) -> FairnessSpec:
-    return FairnessSpec(fractions)
 
 
 def count_parity(k: int) -> FairnessSpec:

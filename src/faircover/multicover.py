@@ -20,17 +20,14 @@ import numpy as np
 
 from .errors import AuditFailure, InfeasibleRequirement, NoProgress
 from .lp import LpSolver, solve
-from .model import Cover, FairnessSpec, SetSystem
+from .model import Cover, FairnessSpec, SetSystem, elements_of
 from .unweighted import (
-    ZERO_PROGRESS_RESAMPLES,
     GreedyState,
     _check_availability,
+    _sampled_round,
+    _union,
     as_rng,
     best_coverage_tuple,
-    mkcc_greedy,
-    sample_round_tuple,
-    _solve_round_probs,
-    TUPLE_BUDGET,
 )
 
 MODES = ("exhaustive", "mkcc_sub")
@@ -97,7 +94,6 @@ def fair_multicover_greedy(
     mode: str = "exhaustive",
     rng: np.random.Generator | int | None = None,
     lp_solver: LpSolver = solve,
-    tuple_budget: int = TUPLE_BUDGET,
 ) -> tuple[Cover, PriceLedger]:
     """Cover every element at least requirements[j] times with quota rounds.
 
@@ -111,6 +107,9 @@ def fair_multicover_greedy(
     An element inside q sets of a committed round advances its coverage
     count by q, but it is priced once per round: one ledger entry of
     round_size / (alive elements the round touched).
+
+    The run's GreedyState tracks alive elements in place of uncovered ones,
+    so tuple scoring counts alive elements touched.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
@@ -121,58 +120,39 @@ def fair_multicover_greedy(
         if instance.requirements[j] > have:
             raise InfeasibleRequirement(j, instance.requirements[j], have)
 
+    # Every requirement is at least one, so every element starts alive.
     state = GreedyState.fresh(system)
     counts = [0] * system.n
-    alive = {j for j in range(system.n) if instance.requirements[j] > 0}
     round_size = sum(spec.per_round)
     entries: list[PriceEntry] = []
     occurrences = [0] * system.n
     alive_history: list[int] = []
-    round_index = 0
 
-    while alive:
+    while state.uncovered:
         _check_availability(state.remaining, spec.per_round)
-        state.uncovered = set(alive)  # tuple scoring targets alive elements
         if mode == "exhaustive":
-            ids = best_coverage_tuple(system, state, spec.per_round, tuple_budget)
+            ids = best_coverage_tuple(system, state, spec.per_round)
         else:
-            groups, quotas, probs, _ = _solve_round_probs(
-                system, state, spec.per_round, lp_solver
-            )
-            ids = sample_round_tuple(groups, quotas, probs, rng)
-            retries = 0
-            while (
-                state.new_coverage(system, ids) == 0
-                and retries < ZERO_PROGRESS_RESAMPLES
-            ):
-                ids = sample_round_tuple(groups, quotas, probs, rng)
-                retries += 1
-            if state.new_coverage(system, ids) == 0:
-                ids = mkcc_greedy(system, state, spec.per_round)
-        touched = sorted(
-            j for j in alive if any(j in system.frozen_sets[i] for i in ids)
-        )
+            ids = _sampled_round(system, state, spec.per_round, rng, lp_solver)
+        alive = state.uncovered
+        touched = elements_of(_union(system.masks, ids) & alive)
         if not touched:
             raise NoProgress("no quota tuple touches an alive element")
-        alive_history.append(len(alive))
+        alive_history.append(alive.bit_count())
         price = round_size / len(touched)
         for j in touched:
             occurrences[j] += 1
-            entries.append(PriceEntry(round_index, j, occurrences[j], price))
+            entries.append(PriceEntry(len(state.rounds), j, occurrences[j], price))
         for i in ids:
-            for e in system.sets[i]:
-                counts[e] += 1
-        alive = {j for j in alive if counts[j] < instance.requirements[j]}
-        state.uncovered = set(alive)
-        state.remaining = [
-            [i for i in g if i not in ids] for g in state.remaining
-        ]
-        state.selected.extend(ids)
-        state.rounds.append(tuple(ids))
-        round_index += 1
+            for j in elements_of(system.masks[i] & alive):
+                counts[j] += 1
+        for j in touched:
+            if counts[j] >= instance.requirements[j]:
+                alive &= ~(1 << j)
+        state.commit(system, ids)
+        state.uncovered = alive
 
-    cover = Cover.from_rounds(system, state.rounds)
-    return cover, PriceLedger(tuple(entries), tuple(alive_history))
+    return state.to_cover(system), PriceLedger(tuple(entries), tuple(alive_history))
 
 
 @dataclass(frozen=True)

@@ -2,32 +2,22 @@
 
 Each oracle enumerates candidates in a fixed order and returns the
 lexicographically smallest optimum, so repeated runs agree bit for bit.
-Element sets are packed into int bitmasks, which keeps the inner loops to
-a few machine ops per candidate.
+Sets are scored through their int bitmasks (SetSystem.masks), and quota
+selections come from the algorithms' tuple enumerator under the same
+TUPLE_BUDGET.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
-from math import comb
+from itertools import combinations
 from typing import Sequence
 
 from .errors import AllTuplesZeroCoverage, BudgetExceeded
-from .model import Cover, FairnessSpec, SetSystem
+from .model import Cover, FairnessSpec, SetSystem, mask_of
+from .unweighted import _quota_tuples
 
 MAX_SETS_EXACT = 22
 MAX_SETS_EXACT_MULTI = 20
-MAX_TUPLES = 10_000_000
-
-
-def _masks(system: SetSystem) -> list[int]:
-    out = []
-    for s in system.sets:
-        m = 0
-        for e in s:
-            m |= 1 << e
-        out.append(m)
-    return out
 
 
 def opt_set_cover(system: SetSystem) -> Cover:
@@ -36,7 +26,7 @@ def opt_set_cover(system: SetSystem) -> Cover:
     mu = system.num_sets
     if mu > MAX_SETS_EXACT:
         raise BudgetExceeded(f"{mu} sets exceeds exact budget {MAX_SETS_EXACT}")
-    masks = _masks(system)
+    masks = system.masks
     full = (1 << system.n) - 1
     for size in range(mu + 1):
         for combo in combinations(range(mu), size):
@@ -78,31 +68,13 @@ def opt_fair_cover(
     mu = system.num_sets
     if mu > MAX_SETS_EXACT:
         raise BudgetExceeded(f"{mu} sets exceeds exact budget {MAX_SETS_EXACT}")
-    masks = _masks(system)
     full = (1 << system.n) - 1
-    by_color = system.sets_by_color
     best: tuple | None = None  # (weight, size, selection) for weighted mode
 
     for t in _fair_sizes(system, spec):
-        count = 1
-        for h, p in enumerate(spec.per_round):
-            if p > 0:
-                count *= comb(len(by_color[h]), t * p)
-        if count > MAX_TUPLES:
-            raise BudgetExceeded(
-                f"{count} candidate selections at {t} rounds exceeds {MAX_TUPLES}"
-            )
-        pools = [
-            combinations(by_color[h], t * p)
-            for h, p in enumerate(spec.per_round)
-            if p > 0
-        ]
         found: tuple[int, ...] | None = None
-        for parts in product(*pools):
-            sel = tuple(sorted(i for part in parts for i in part))
-            acc = 0
-            for i in sel:
-                acc |= masks[i]
+        counts = [t * p for p in spec.per_round]
+        for sel, acc in _quota_tuples(system.masks, system.sets_by_color, counts):
             if acc != full:
                 continue
             if not weighted:
@@ -134,26 +106,11 @@ def opt_mkcc(
     cover nothing. Returns (ids ascending, objective value); ties prefer the
     lexicographically smallest tuple.
     """
-    unc = frozenset(uncovered)
-    count = 1
-    for h, p in enumerate(per_round):
-        if p > 0:
-            count *= comb(len(remaining_sets[h]), p)
-    if count > MAX_TUPLES:
-        raise BudgetExceeded(f"{count} tuples exceeds {MAX_TUPLES}")
-    pools = [
-        combinations(sorted(remaining_sets[h]), p)
-        for h, p in enumerate(per_round)
-        if p > 0
-    ]
+    unc = mask_of(uncovered, system.n)
     best_key: tuple | None = None
     best_val: tuple[tuple[int, ...], float] | None = None
-    for parts in product(*pools):
-        ids = tuple(sorted(i for part in parts for i in part))
-        cov_elems = set()
-        for i in ids:
-            cov_elems.update(system.sets[i])
-        new = len(cov_elems & unc)
+    for ids, mask in _quota_tuples(system.masks, remaining_sets, per_round):
+        new = (mask & unc).bit_count()
         if weighted_ratio:
             if new == 0:
                 continue
@@ -181,29 +138,23 @@ def opt_fair_multicover(instance, spec: FairnessSpec) -> Cover | None:
         raise BudgetExceeded(
             f"{mu} sets exceeds exact budget {MAX_SETS_EXACT_MULTI}"
         )
-    by_color = system.sets_by_color
+    # wants[k]: the elements that need more than k covers.
+    wants = [
+        mask_of((j for j in range(system.n) if reqs[j] > k), system.n)
+        for k in range(max(reqs, default=0))
+    ]
+    masks = system.masks
     for t in _fair_sizes(system, spec):
-        count = 1
-        for h, p in enumerate(spec.per_round):
-            if p > 0:
-                count *= comb(len(by_color[h]), t * p)
-        if count > MAX_TUPLES:
-            raise BudgetExceeded(
-                f"{count} candidate selections at {t} rounds exceeds {MAX_TUPLES}"
-            )
-        pools = [
-            combinations(by_color[h], t * p)
-            for h, p in enumerate(spec.per_round)
-            if p > 0
-        ]
         found: tuple[int, ...] | None = None
-        for parts in product(*pools):
-            sel = tuple(sorted(i for part in parts for i in part))
-            counts = [0] * system.n
+        counts = [t * p for p in spec.per_round]
+        for sel, _ in _quota_tuples(masks, system.sets_by_color, counts):
+            # got[k]: the elements the selection covers more than k times.
+            got = [0] * len(wants)
             for i in sel:
-                for e in system.sets[i]:
-                    counts[e] += 1
-            if all(counts[j] >= reqs[j] for j in range(system.n)):
+                for k in range(len(got) - 1, 0, -1):
+                    got[k] |= got[k - 1] & masks[i]
+                got[0] |= masks[i]
+            if all(g & w == w for g, w in zip(got, wants)):
                 if found is None or sel < found:
                     found = sel
         if found is not None:

@@ -28,9 +28,10 @@ from .lp import (
     lp_variable_order,
     solve,
 )
-from .model import Cover, FairnessSpec, SetSystem
+from .model import Cover, FairnessSpec, SetSystem, elements_of
 
-# Refuse exhaustive rounds with more candidate tuples than this.
+# Refuse any quota-tuple enumeration (exhaustive rounds and the oracles)
+# with more candidate tuples than this.
 TUPLE_BUDGET = 10_000_000
 # One LP sample may be redrawn this many times before falling back to greedy.
 ZERO_PROGRESS_RESAMPLES = 16
@@ -44,10 +45,11 @@ def as_rng(rng: np.random.Generator | int | None) -> np.random.Generator:
 
 @dataclass
 class GreedyState:
-    """Mutable per-run bookkeeping: what is still uncovered, which sets are
-    still available per color, and the committed audit trail."""
+    """Mutable per-run bookkeeping: what is still uncovered (a bitmask over
+    the elements, as in SetSystem.masks), which sets are still available per
+    color, and the committed audit trail."""
 
-    uncovered: set[int]
+    uncovered: int
     remaining: list[list[int]]
     selected: list[int] = field(default_factory=list)
     rounds: list[tuple[int, ...]] = field(default_factory=list)
@@ -55,20 +57,17 @@ class GreedyState:
     @classmethod
     def fresh(cls, system: SetSystem) -> "GreedyState":
         return cls(
-            uncovered=set(range(system.n)),
+            uncovered=(1 << system.n) - 1,
             remaining=[list(g) for g in system.sets_by_color],
         )
 
     def new_coverage(self, system: SetSystem, ids: Sequence[int]) -> int:
-        hit = set()
-        for i in ids:
-            hit.update(system.frozen_sets[i] & self.uncovered)
-        return len(hit)
+        return (_union(system.masks, ids) & self.uncovered).bit_count()
 
     def commit(self, system: SetSystem, ids: Sequence[int]) -> None:
         ids = tuple(sorted(ids))
         for i in ids:
-            self.uncovered -= system.frozen_sets[i]
+            self.uncovered &= ~system.masks[i]
             self.remaining[system.colors[i]].remove(i)
             self.selected.append(i)
         self.rounds.append(ids)
@@ -82,35 +81,47 @@ def greedy_set_cover(system: SetSystem) -> Cover:
     elements, ignoring colors entirely. Guarantees (ln n + 1) times the
     optimum size but can be arbitrarily lopsided across groups."""
     state = GreedyState.fresh(system)
-    picked: set[int] = set()
     while state.uncovered:
+        # A picked set covers nothing new, so it never wins again.
         best_i = -1
         best_new = 0
-        for i in range(system.num_sets):
-            if i in picked:
-                continue
-            new = len(system.frozen_sets[i] & state.uncovered)
+        for i, m in enumerate(system.masks):
+            new = (m & state.uncovered).bit_count()
             if new > best_new:
                 best_new = new
                 best_i = i
         if best_i < 0:
             raise NoProgress("uncovered elements remain but no set touches them")
-        picked.add(best_i)
         state.commit(system, (best_i,))
     return state.to_cover(system)
 
 
-def _pad_target_rounds(spec: FairnessSpec, counts: Sequence[int]) -> int:
-    """Fewest rounds t such that t * per_round[h] >= counts[h] everywhere."""
+def _pad_to_quotas(system: SetSystem, spec: FairnessSpec, base: Cover, key=None) -> Cover:
+    """base plus one round padding every color up to t * per_round[h], t
+    being the fewest rounds whose quotas hold base's group counts. A color
+    pads with its unpicked sets in key order (by id when key is None)."""
+    counts = list(base.group_counts) + [0] * (spec.num_colors - len(base.group_counts))
     t = 1
     for h, p in enumerate(spec.per_round):
-        c = counts[h] if h < len(counts) else 0
         if p == 0:
-            if c > 0:
+            if counts[h] > 0:
                 raise InsufficientColor(h, 0, 0)
             continue
-        t = max(t, math.ceil(c / p))
-    return t
+        t = max(t, math.ceil(counts[h] / p))
+    picked = set(base.selected)
+    pads: list[int] = []
+    for h, p in enumerate(spec.per_round):
+        need = t * p - counts[h]
+        if need == 0:
+            continue
+        avail = sorted((i for i in system.sets_by_color[h] if i not in picked), key=key)
+        if len(avail) < need:
+            raise InsufficientColor(h, need, len(avail))
+        pads.extend(avail[:need])
+    rounds = list(base.rounds)
+    if pads:
+        rounds.append(tuple(sorted(pads)))
+    return Cover.from_rounds(system, rounds)
 
 
 def naive_fsc(system: SetSystem, spec: FairnessSpec) -> Cover:
@@ -122,23 +133,7 @@ def naive_fsc(system: SetSystem, spec: FairnessSpec) -> Cover:
     quota-exact cover of t*p sets; the guarantee degrades to k(ln n + 1)
     because padding can multiply the greedy size by at most the number of
     groups."""
-    base = greedy_set_cover(system)
-    counts = list(base.group_counts) + [0] * (spec.num_colors - len(base.group_counts))
-    t = _pad_target_rounds(spec, counts)
-    picked = set(base.selected)
-    pads: list[int] = []
-    for h, p in enumerate(spec.per_round):
-        need = t * p - counts[h]
-        if need == 0:
-            continue
-        avail = [i for i in system.sets_by_color[h] if i not in picked]
-        if len(avail) < need:
-            raise InsufficientColor(h, need, len(avail))
-        pads.extend(avail[:need])
-    rounds = list(base.rounds)
-    if pads:
-        rounds.append(tuple(sorted(pads)))
-    return Cover.from_rounds(system, rounds)
+    return _pad_to_quotas(system, spec, greedy_set_cover(system))
 
 
 def _check_availability(
@@ -149,58 +144,62 @@ def _check_availability(
             raise InsufficientColor(h, p, len(remaining[h]))
 
 
-def _tuple_count(remaining: Sequence[Sequence[int]], per_round: Sequence[int]) -> int:
-    count = 1
-    for h, p in enumerate(per_round):
-        if p > 0:
-            count *= math.comb(len(remaining[h]), p)
-    return count
+def _union(masks: Sequence[int], ids: Sequence[int]) -> int:
+    out = 0
+    for i in ids:
+        out |= masks[i]
+    return out
 
 
-def _iter_tuples(remaining: Sequence[Sequence[int]], per_round: Sequence[int]):
-    """All ways to take per_round[h] remaining sets of each color, as sorted
-    id tuples."""
-    pools = [
-        combinations(sorted(remaining[h]), p)
-        for h, p in enumerate(per_round)
-        if p > 0
+def _quota_tuples(
+    masks: Sequence[int], pools: Sequence[Sequence[int]], counts: Sequence[int]
+):
+    """Every way to take counts[h] ids from pools[h] for each color h, as
+    (ids ascending, OR of their masks). Raises BudgetExceeded, before
+    yielding anything, when there are more than TUPLE_BUDGET ways."""
+    pools = list(pools) + [()] * (len(counts) - len(pools))  # a missing color has no sets
+    total = 1
+    for pool, c in zip(pools, counts):
+        total *= math.comb(len(pool), c)
+    if total > TUPLE_BUDGET:
+        raise BudgetExceeded(
+            f"{total} candidate tuples exceeds the budget of {TUPLE_BUDGET}"
+        )
+    if total == 0:
+        return
+    # Each color's combinations carry their union, so a tuple ORs one mask
+    # per color rather than one per set.
+    choices = [
+        [(combo, _union(masks, combo)) for combo in combinations(pool, c)]
+        for pool, c in zip(pools, counts)
+        if c > 0
     ]
-    for parts in product(*pools):
-        yield tuple(sorted(i for part in parts for i in part))
+    for parts in product(*choices):
+        mask = 0
+        for _, m in parts:
+            mask |= m
+        yield tuple(sorted([i for combo, _ in parts for i in combo])), mask
 
 
 def best_coverage_tuple(
-    system: SetSystem,
-    state: GreedyState,
-    per_round: Sequence[int],
-    tuple_budget: int = TUPLE_BUDGET,
+    system: SetSystem, state: GreedyState, per_round: Sequence[int]
 ) -> tuple[int, ...]:
     """Exhaustive argmax of new coverage over all quota tuples; ties go to
     the lexicographically smallest tuple."""
     _check_availability(state.remaining, per_round)
-    count = _tuple_count(state.remaining, per_round)
-    if count > tuple_budget:
-        raise BudgetExceeded(
-            f"{count} candidate tuples per round exceeds budget {tuple_budget}; "
-            "use an LP or greedy subroutine instead"
-        )
     # _check_availability leaves every active color at least its quota of
     # sets, so the tuple product is non-empty and best_ids gets set.
-    best_key = None
+    best_new = -1
     best_ids: tuple[int, ...] = ()
-    for ids in _iter_tuples(state.remaining, per_round):
-        key = (-state.new_coverage(system, ids), ids)
-        if best_key is None or key < best_key:
-            best_key = key
+    for ids, mask in _quota_tuples(system.masks, state.remaining, per_round):
+        new = (mask & state.uncovered).bit_count()
+        if new > best_new or (new == best_new and ids < best_ids):
+            best_new = new
             best_ids = ids
     return best_ids
 
 
-def greedy_allpick(
-    system: SetSystem,
-    spec: FairnessSpec,
-    tuple_budget: int = TUPLE_BUDGET,
-) -> Cover:
+def greedy_allpick(system: SetSystem, spec: FairnessSpec) -> Cover:
     """Quota-respecting greedy over whole rounds.
 
     Each round exhaustively scores every way of taking per_round[h] unpicked
@@ -210,7 +209,7 @@ def greedy_allpick(
     """
     state = GreedyState.fresh(system)
     while state.uncovered:
-        ids = best_coverage_tuple(system, state, spec.per_round, tuple_budget)
+        ids = best_coverage_tuple(system, state, spec.per_round)
         if state.new_coverage(system, ids) == 0:
             raise NoProgress("no quota tuple covers a new element")
         state.commit(system, ids)
@@ -225,7 +224,8 @@ def mkcc_greedy(
     met, then pad under-quota colors with their lowest-index remaining sets.
     Never mutates state; returns exactly sum(per_round) ids."""
     _check_availability(state.remaining, per_round)
-    working = set(state.uncovered)
+    masks = system.masks
+    working = state.uncovered
     taken: set[int] = set()
     quota_left = list(per_round)
     total_left = sum(per_round)
@@ -240,14 +240,14 @@ def mkcc_greedy(
             if i not in taken
         )
         for i in eligible:
-            new = len(system.frozen_sets[i] & working)
+            new = (masks[i] & working).bit_count()
             if new > best_new:
                 best_new = new
                 best_i = i
         if best_i < 0:
             break
         taken.add(best_i)
-        working -= system.frozen_sets[best_i]
+        working &= ~masks[best_i]
         quota_left[system.colors[best_i]] -= 1
         total_left -= 1
     for h, g in enumerate(state.remaining):
@@ -267,7 +267,7 @@ def _solve_round_probs(
     lp_solver: LpSolver,
 ):
     """Solve the round relaxation and return per-color (ids, probabilities)."""
-    lp = build_mkcc_lp(system, state.remaining, sorted(state.uncovered), per_round)
+    lp = build_mkcc_lp(system, state.remaining, elements_of(state.uncovered), per_round)
     sol = lp_solver(lp)
     if sol.status != "optimal":
         raise NumericalFailure(f"round relaxation came back {sol.status}")
@@ -303,6 +303,24 @@ def sample_round_tuple(
                 picked.append(i)
         chosen.extend(picked)
     return tuple(sorted(chosen))
+
+
+def _sampled_round(
+    system: SetSystem,
+    state: GreedyState,
+    per_round: Sequence[int],
+    rng: np.random.Generator,
+    lp_solver: LpSolver,
+) -> tuple[int, ...]:
+    """One LP-rounded round: the first of up to 1 + ZERO_PROGRESS_RESAMPLES
+    samples that covers a new element, else the marginal greedy round
+    (which may cover nothing either; callers check)."""
+    groups, quotas, probs, _ = _solve_round_probs(system, state, per_round, lp_solver)
+    for _ in range(1 + ZERO_PROGRESS_RESAMPLES):
+        ids = sample_round_tuple(groups, quotas, probs, rng)
+        if state.new_coverage(system, ids) > 0:
+            return ids
+    return mkcc_greedy(system, state, per_round)
 
 
 def mkcc_lp_round(
@@ -345,19 +363,7 @@ def eff_fsc(
         if subroutine == "greedy":
             ids = mkcc_greedy(system, state, spec.per_round)
         else:
-            groups, quotas, probs, _ = _solve_round_probs(
-                system, state, spec.per_round, lp_solver
-            )
-            ids = sample_round_tuple(groups, quotas, probs, rng)
-            retries = 0
-            while (
-                state.new_coverage(system, ids) == 0
-                and retries < ZERO_PROGRESS_RESAMPLES
-            ):
-                ids = sample_round_tuple(groups, quotas, probs, rng)
-                retries += 1
-            if state.new_coverage(system, ids) == 0:
-                ids = mkcc_greedy(system, state, spec.per_round)
+            ids = _sampled_round(system, state, spec.per_round, rng, lp_solver)
         if state.new_coverage(system, ids) == 0:
             raise NoProgress("round subroutine could not cover a new element")
         state.commit(system, ids)

@@ -20,20 +20,16 @@ import numpy as np
 from .errors import (
     AllTauInfeasible,
     AllTuplesZeroCoverage,
-    BudgetExceeded,
-    InsufficientColor,
     NumericalFailure,
     ResampleCapExceeded,
 )
 from .lp import LpSolver, build_weighted_mkcc_lp, color_sampling_probs, lp_variable_order, solve
-from .model import Cover, FairnessSpec, SetSystem
+from .model import Cover, FairnessSpec, SetSystem, elements_of
 from .unweighted import (
-    TUPLE_BUDGET,
     GreedyState,
     _check_availability,
-    _iter_tuples,
-    _pad_target_rounds,
-    _tuple_count,
+    _pad_to_quotas,
+    _quota_tuples,
     as_rng,
     sample_round_tuple,
 )
@@ -77,14 +73,12 @@ def naive_wfsc(system: SetSystem, spec: FairnessSpec) -> Cover:
     unpicked sets. Guarantee: k * delta * (ln n + 1) times the optimal
     quota-respecting weight, delta being the weight spread."""
     state = GreedyState.fresh(system)
-    picked: set[int] = set()
     while state.uncovered:
+        # A picked set covers nothing new, so it is skipped from then on.
         best_key: tuple[float, int] | None = None
         best_i = -1
-        for i in range(system.num_sets):
-            if i in picked:
-                continue
-            new = len(system.frozen_sets[i] & state.uncovered)
+        for i, m in enumerate(system.masks):
+            new = (m & state.uncovered).bit_count()
             if new == 0:
                 continue
             key = (system.weight(i) / new, i)
@@ -95,34 +89,13 @@ def naive_wfsc(system: SetSystem, spec: FairnessSpec) -> Cover:
             raise AllTuplesZeroCoverage(
                 "uncovered elements remain but no set touches them"
             )
-        picked.add(best_i)
         state.commit(system, (best_i,))
-    counts = list(state.to_cover(system).group_counts)
-    counts += [0] * (spec.num_colors - len(counts))
-    t = _pad_target_rounds(spec, counts)
-    pads: list[int] = []
-    for h, p in enumerate(spec.per_round):
-        need = t * p - counts[h]
-        if need == 0:
-            continue
-        avail = sorted(
-            (i for i in system.sets_by_color[h] if i not in picked),
-            key=lambda i: (system.weight(i), i),
-        )
-        if len(avail) < need:
-            raise InsufficientColor(h, need, len(avail))
-        pads.extend(avail[:need])
-    rounds = list(state.rounds)
-    if pads:
-        rounds.append(tuple(sorted(pads)))
-    return Cover.from_rounds(system, rounds)
+    return _pad_to_quotas(
+        system, spec, state.to_cover(system), key=lambda i: (system.weight(i), i)
+    )
 
 
-def greedy_weighted_allpick(
-    system: SetSystem,
-    spec: FairnessSpec,
-    tuple_budget: int = TUPLE_BUDGET,
-) -> Cover:
+def greedy_weighted_allpick(system: SetSystem, spec: FairnessSpec) -> Cover:
     """Quota-respecting greedy minimizing weight per newly covered element.
 
     Rounds enumerate every quota tuple, skip those covering nothing new,
@@ -132,14 +105,9 @@ def greedy_weighted_allpick(
     state = GreedyState.fresh(system)
     while state.uncovered:
         _check_availability(state.remaining, spec.per_round)
-        count = _tuple_count(state.remaining, spec.per_round)
-        if count > tuple_budget:
-            raise BudgetExceeded(
-                f"{count} candidate tuples per round exceeds budget {tuple_budget}"
-            )
         best_key: tuple[float, tuple[int, ...]] | None = None
-        for ids in _iter_tuples(state.remaining, spec.per_round):
-            new = state.new_coverage(system, ids)
+        for ids, mask in _quota_tuples(system.masks, state.remaining, spec.per_round):
+            new = (mask & state.uncovered).bit_count()
             if new == 0:
                 continue
             w = sum(system.weight(i) for i in ids)
@@ -174,7 +142,7 @@ def weighted_mkcc_round(
     """
     rng = as_rng(rng)
     _check_availability(state.remaining, per_round)
-    uncovered = sorted(state.uncovered)
+    uncovered = elements_of(state.uncovered)
     if not uncovered:
         raise ValueError("nothing left to cover")
     groups = lp_variable_order(state.remaining, per_round)

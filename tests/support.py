@@ -152,6 +152,24 @@ def brute_best_tuple(system, targets, remaining, per_round, ratio=False):
     return (-best[0] if not ratio else best[0]), best[1]
 
 
+def brute_quota_tuples(system: SetSystem, pools, counts):
+    """Every way to take counts[h] ids from pools[h] for each color h, by
+    itertools alone: a dict from the sorted id tuple to the elements in
+    [0, n) that its sets cover. A color past the end of pools has no sets."""
+    choices = [
+        combinations(pools[h] if h < len(pools) else (), c)
+        for h, c in enumerate(counts)
+        if c > 0
+    ]
+    out = {}
+    for parts in product(*choices):
+        ids = tuple(sorted(i for part in parts for i in part))
+        out[ids] = frozenset(
+            e for i in ids for e in system.sets[i] if 0 <= e < system.n
+        )
+    return out
+
+
 def all_covers(system: SetSystem):
     """Every selection (any size) whose union is the universe, as sorted tuples."""
     mu = system.num_sets

@@ -25,6 +25,7 @@ from faircover.model import (
     FairnessSpec,
     SetSystem,
     count_parity,
+    elements_of,
     fairness_report,
 )
 from faircover.multicover import (
@@ -191,7 +192,7 @@ def test_c04_lp_rounding_expected_coverage(capsys):
             sys_ = gen_synthetic(20, 8, 2, coverage_dist=("uniform", 0.3), seed=seed)
             state = GreedyState.fresh(sys_)
             lp = build_mkcc_lp(
-                sys_, state.remaining, sorted(state.uncovered), SPEC2.per_round
+                sys_, state.remaining, elements_of(state.uncovered), SPEC2.per_round
             )
             sol = solve(lp)
             assert sol.status == "optimal"
@@ -249,7 +250,7 @@ def test_c05_weighted_rounding_contracts(capsys):
         state = GreedyState.fresh(sys_)
         tau = 5
         lp = build_weighted_mkcc_lp(
-            sys_, state.remaining, sorted(state.uncovered), SPEC2.per_round, tau
+            sys_, state.remaining, elements_of(state.uncovered), SPEC2.per_round, tau
         )
         sol = solve(lp)
         assert sol.status == "optimal"

@@ -203,6 +203,16 @@ def test_oversized_exhaustive_request_exits_2(capsys):
     assert "eff-greedy" in err
 
 
+def test_subroutine_engines_are_not_refused_on_wide_instances(capsys):
+    # The same 16M-tuple instance: --subroutine greedy never enumerates tuples.
+    code, out, err = run(
+        capsys, "solve", "--algo", "gfsc", "--subroutine", "greedy",
+        "--generator", "synthetic", "--n", "10", "--m", "4000", "--coverage-p", "0.4",
+    )
+    assert code == 0, err
+    assert "fairness ratio:   1" in out
+
+
 def test_infeasible_fair_cover_exits_3(capsys, tmp_path):
     path = tmp_path / "thin.json"
     save_instance(SetSystem(3, [[0], [1], [2]], [0, 0, 1]), path)

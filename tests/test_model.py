@@ -13,8 +13,9 @@ from faircover.model import (
     SetSystem,
     count_parity,
     delta,
+    elements_of,
     fairness_report,
-    fairness_spec_from_fractions,
+    mask_of,
     ratio_parity,
     validate_instance,
 )
@@ -55,6 +56,16 @@ def test_derived_views():
     assert sys_.weight(0) == 1.0
 
 
+def test_masks_ignore_ids_outside_the_universe():
+    sys_ = SetSystem(3, [[0, -1], [1, 5], [2, 0], []], [0, 0, 1, 1])
+    assert sys_.masks == (0b001, 0b010, 0b101, 0)
+    for j, containing in enumerate(sys_.element_sets):
+        assert containing == tuple(i for i, m in enumerate(sys_.masks) if m >> j & 1)
+    assert mask_of([4, 2, -3, 0, 2], 3) == 0b101
+    assert elements_of(0b101101) == [0, 2, 3, 5]
+    assert elements_of(0) == []
+
+
 # -------------------------------------------------------------- validation
 
 
@@ -88,13 +99,13 @@ def test_validation_reports_empty_colors():
 
 
 def test_fraction_spec_halves():
-    spec = fairness_spec_from_fractions([Fraction(1, 2), Fraction(1, 2)])
+    spec = FairnessSpec([Fraction(1, 2), Fraction(1, 2)])
     assert spec.p == 2
     assert spec.per_round == (1, 1)
 
 
 def test_fraction_spec_thirds():
-    spec = fairness_spec_from_fractions(["1/3", "2/3"])
+    spec = FairnessSpec(["1/3", "2/3"])
     assert spec.p == 3
     assert spec.per_round == (1, 2)
 

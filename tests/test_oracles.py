@@ -13,6 +13,8 @@ from faircover.oracles import (
     opt_set_cover,
 )
 
+from faircover.unweighted import greedy_allpick, greedy_set_cover
+
 from support import all_covers
 
 
@@ -165,3 +167,35 @@ def test_opt_fair_multicover_infeasible_is_none():
     assert opt_fair_multicover(inst, count_parity(2)) is not None
     inst3 = MulticoverInstance(SetSystem(1, [[0], [0], [0]], [0, 0, 1]), [3])
     assert opt_fair_multicover(inst3, count_parity(2)) is None
+
+
+# ------------------------------------------------------- out-of-range element ids
+
+
+def past_n_system():
+    # Set 0 lists element 2 of a two-element universe; like the algorithms,
+    # the oracles treat it as covering exactly {0, 1}.
+    return SetSystem(2, [[0, 1, 2], [0], [1]], [0, 1, 1])
+
+
+def test_opt_set_cover_ignores_element_ids_past_n():
+    sys_ = past_n_system()
+    assert opt_set_cover(sys_).selected == greedy_set_cover(sys_).selected == (0,)
+
+
+def test_opt_fair_cover_ignores_element_ids_past_n():
+    sys_ = past_n_system()
+    halves = FairnessSpec(["1/2", "1/2"])
+    assert opt_fair_cover(sys_, halves).selected == (0, 1)
+    assert greedy_allpick(sys_, halves).selected == (0, 1)
+
+
+def test_oracles_ignore_negative_element_ids():
+    sys_ = SetSystem(3, [[0, -1], [1, 5], [2], [0, 2]], [0, 1, 0, 1])
+    halves = FairnessSpec(["1/2", "1/2"])
+    # No one-round pair covers {0, 1, 2}; two rounds take every set.
+    assert opt_fair_cover(sys_, halves).selected == (0, 1, 2, 3)
+    assert opt_fair_cover(sys_, halves, weighted=True).selected == (0, 1, 2, 3)
+    assert opt_mkcc(sys_, [-1, 0, 1], sys_.sets_by_color, (1, 1)) == ((0, 1), 2.0)
+    inst = MulticoverInstance(sys_, [1, 1, 1])
+    assert opt_fair_multicover(inst, halves).selected == (0, 1, 2, 3)

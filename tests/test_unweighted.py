@@ -167,9 +167,10 @@ def test_allpick_insufficient_color():
 
 
 def test_allpick_budget_refusal():
-    sys_ = gen_synthetic(8, 10, 2, coverage_dist=("uniform", 0.4), seed=0)
+    # 4000 * 4000 tuples per round is past TUPLE_BUDGET.
+    sys_ = gen_synthetic(10, 4000, 2, coverage_dist=("uniform", 0.4), seed=0)
     with pytest.raises(BudgetExceeded):
-        greedy_allpick(sys_, SPEC2, tuple_budget=50)
+        greedy_allpick(sys_, SPEC2)
 
 
 # --------------------------------------------------------------- mkcc_greedy
@@ -180,7 +181,7 @@ def test_mkcc_greedy_square():
     state = GreedyState.fresh(sys_)
     assert mkcc_greedy(sys_, state, (1, 1)) == (0, 2)
     # The state is never mutated by the subroutine.
-    assert state.uncovered == set(range(6))
+    assert state.uncovered == 0b111111
     assert state.remaining == [[0, 1], [2, 3]]
 
 

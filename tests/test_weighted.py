@@ -122,9 +122,10 @@ def test_weighted_allpick_skips_useless_tuples_then_fails_loud():
 
 
 def test_weighted_allpick_budget_refusal():
-    sys_ = weighted_instance(0, n=8, m=10)
+    # 4000 * 4000 tuples per round is past TUPLE_BUDGET.
+    sys_ = weighted_instance(0, n=10, m=4000)
     with pytest.raises(BudgetExceeded):
-        greedy_weighted_allpick(sys_, SPEC2, tuple_budget=50)
+        greedy_weighted_allpick(sys_, SPEC2)
 
 
 # ----------------------------------------------------------- sweep ingredients
