@@ -163,8 +163,10 @@ def _requirements(args, system) -> tuple[int, ...]:
     try:
         const = int(args.requirements)
     except ValueError:
-        data = json.loads(Path(args.requirements).read_text())
-        return tuple(int(r) for r in data)
+        try:
+            return tuple(int(r) for r in json.loads(Path(args.requirements).read_text()))
+        except (TypeError, OverflowError, RecursionError):
+            raise ValueError("--requirements file must hold a JSON list of integers") from None
     return tuple([const] * system.n)
 
 

@@ -19,6 +19,7 @@ Generators return plain SetSystem values and are deterministic per seed.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from pathlib import Path
@@ -61,11 +62,23 @@ def load_instance(path: str | Path, format: str = "json") -> SetSystem:
     raise ValueError(f"unknown format {format!r}, expected one of {FORMATS}")
 
 
+def _read_text(path: Path) -> str:
+    raw = path.read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"not UTF-8 text: {exc.reason}", line=line) from None
+
+
 def _load_json(path: Path) -> SetSystem:
     try:
-        payload = json.loads(path.read_text())
+        payload = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc.msg}", line=exc.lineno) from exc
+    except (ValueError, RecursionError) as exc:
+        # Integers past Python's digit limit, or nesting past the recursion limit.
+        raise ParseError(f"not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise ParseError("top level must be an object")
     missing = {"n", "sets", "colors"} - payload.keys()
@@ -78,7 +91,7 @@ def _load_json(path: Path) -> SetSystem:
             colors=payload["colors"],
             weights=payload.get("weights"),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed instance: {exc}") from exc
 
 
@@ -98,8 +111,8 @@ def _save_csv(system: SetSystem, path: Path) -> None:
 
 
 def _load_csv(path: Path) -> SetSystem:
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    try:
         try:
             header = next(reader)
         except StopIteration:
@@ -143,6 +156,8 @@ def _load_csv(path: Path) -> SetSystem:
                     )
             sets.append(members)
         return SetSystem(n, sets, colors, weights if weighted else None)
+    except csv.Error as exc:  # e.g. a cell past csv.field_size_limit()
+        raise ParseError(f"malformed CSV: {exc}", line=reader.line_num) from None
 
 
 # -------------------------------------------------------------- generators

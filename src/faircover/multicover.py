@@ -1,14 +1,16 @@
 """Quota-respecting multicover: elements demand several covers, rounds pay for them.
 
 An element j is alive while fewer than requirements[j] selected sets
-contain it. Rounds work exactly like the single-cover quota greedy but
-score tuples by alive elements touched, and every committed round writes a
-pricing ledger: each alive element in the round's union gets one entry of
-(round size) / (alive elements touched). Those prices make two audit
-identities exact: entries sum to the cover size, and each round's entries
-sum to the round size. A third, inequality-shaped audit bounds any single
-set's terminal prices by the harmonic series, which is the engine of the
-size guarantee (at most k (ln n + 1) times the optimal fair multicover).
+contain it. Rounds run through the single-cover quota greedy's driver
+(unweighted._run_rounds) with the alive elements in place of the uncovered
+ones, so tuples score by alive elements touched. The driver's commit rule
+here writes a pricing ledger: each alive element in the round's union gets
+one entry of (round size) / (alive elements touched). Those prices make
+two audit identities exact: entries sum to the cover size, and each
+round's entries sum to the round size. A third, inequality-shaped audit
+bounds any single set's terminal prices by the harmonic series, which is
+the engine of the size guarantee (at most k (ln n + 1) times the optimal
+fair multicover).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .lp import LpSolver, solve
 from .model import Cover, FairnessSpec, SetSystem, elements_of
 from .unweighted import (
     GreedyState,
-    _check_availability,
+    _run_rounds,
     _sampled_round,
     _union,
     as_rng,
@@ -108,8 +110,9 @@ def fair_multicover_greedy(
     count by q, but it is priced once per round: one ledger entry of
     round_size / (alive elements the round touched).
 
-    The run's GreedyState tracks alive elements in place of uncovered ones,
-    so tuple scoring counts alive elements touched.
+    The run's GreedyState tracks alive elements in place of uncovered ones;
+    the commit rule prices the round, advances the demand counts and resets
+    the state to the elements still alive.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
@@ -120,39 +123,37 @@ def fair_multicover_greedy(
         if instance.requirements[j] > have:
             raise InfeasibleRequirement(j, instance.requirements[j], have)
 
-    # Every requirement is at least one, so every element starts alive.
-    state = GreedyState.fresh(system)
     counts = [0] * system.n
     round_size = sum(spec.per_round)
     entries: list[PriceEntry] = []
     occurrences = [0] * system.n
     alive_history: list[int] = []
 
-    while state.uncovered:
-        _check_availability(state.remaining, spec.per_round)
+    def pick(state: GreedyState) -> tuple[int, ...] | None:
         if mode == "exhaustive":
-            ids = best_coverage_tuple(system, state, spec.per_round)
-        else:
-            ids = _sampled_round(system, state, spec.per_round, rng, lp_solver)
+            return best_coverage_tuple(system, state, spec.per_round)
+        return _sampled_round(system, state, spec.per_round, rng, lp_solver)
+
+    def commit(state: GreedyState, system: SetSystem, ids: Sequence[int]) -> None:
         alive = state.uncovered
         touched = elements_of(_union(system.masks, ids) & alive)
-        if not touched:
-            raise NoProgress("no quota tuple touches an alive element")
         alive_history.append(alive.bit_count())
         price = round_size / len(touched)
         for j in touched:
             occurrences[j] += 1
             entries.append(PriceEntry(len(state.rounds), j, occurrences[j], price))
         for i in ids:
-            for j in elements_of(system.masks[i] & alive):
+            for j in elements_of(system.masks[i] & state.uncovered):
                 counts[j] += 1
-        for j in touched:
-            if counts[j] >= instance.requirements[j]:
-                alive &= ~(1 << j)
+                if counts[j] >= instance.requirements[j]:
+                    alive &= ~(1 << j)
         state.commit(system, ids)
         state.uncovered = alive
 
-    return state.to_cover(system), PriceLedger(tuple(entries), tuple(alive_history))
+    # Every requirement is at least one, so every element starts alive.
+    stuck = NoProgress("no quota tuple touches an alive element")
+    cover = _run_rounds(system, spec.per_round, pick, stuck, commit)
+    return cover, PriceLedger(tuple(entries), tuple(alive_history))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,8 @@
 """Unweighted cover algorithms, from plain greedy to quota-respecting rounds.
 
+Every cover loop, here and in weighted and multicover, is the _run_rounds
+driver with its own round picker; every candidate argmax is _best_candidate.
+
 Determinism contract: all ties break toward the smallest set index (for
 single picks) or the lexicographically smallest sorted id tuple (for round
 tuples), and every random draw flows through a caller-supplied seed or
@@ -76,24 +79,43 @@ class GreedyState:
         return Cover.from_rounds(system, self.rounds)
 
 
+def _run_rounds(system: SetSystem, per_round: Sequence[int], pick, stuck, commit=None) -> Cover:
+    """The loop of every greedy cover: while state.uncovered is non-empty, check
+    each color can fill per_round, take ids = pick(state), raise stuck if they
+    are None or cover nothing new, else commit them (GreedyState.commit, or the
+    commit(state, system, ids) rule given)."""
+    state = GreedyState.fresh(system)
+    while state.uncovered:
+        _check_availability(state.remaining, per_round)
+        ids = pick(state)
+        if ids is None or state.new_coverage(system, ids) == 0:
+            raise stuck
+        (commit or GreedyState.commit)(state, system, ids)
+    return state.to_cover(system)
+
+
+def _best_candidate(candidates, uncovered: int, weight=None) -> tuple[int, ...] | None:
+    """The ids of the (ids, mask) candidate covering the most of uncovered
+    or, given weight, the least total weight per new element; ties go to the
+    smallest ids, and None means no candidate covers a new element."""
+    best_ids, best = None, 0
+    for ids, mask in candidates:
+        new = (mask & uncovered).bit_count()
+        if new == 0:
+            continue
+        score = -new if weight is None else sum(map(weight, ids)) / new
+        if score < best or best_ids is None or (score == best and ids < best_ids):
+            best_ids, best = ids, score
+    return best_ids
+
+
 def greedy_set_cover(system: SetSystem) -> Cover:
     """Classic greedy: each round takes the set covering the most new
     elements, ignoring colors entirely. Guarantees (ln n + 1) times the
     optimum size but can be arbitrarily lopsided across groups."""
-    state = GreedyState.fresh(system)
-    while state.uncovered:
-        # A picked set covers nothing new, so it never wins again.
-        best_i = -1
-        best_new = 0
-        for i, m in enumerate(system.masks):
-            new = (m & state.uncovered).bit_count()
-            if new > best_new:
-                best_new = new
-                best_i = i
-        if best_i < 0:
-            raise NoProgress("uncovered elements remain but no set touches them")
-        state.commit(system, (best_i,))
-    return state.to_cover(system)
+    sets = [((i,), m) for i, m in enumerate(system.masks)]
+    stuck = NoProgress("uncovered elements remain but no set touches them")
+    return _run_rounds(system, (), lambda state: _best_candidate(sets, state.uncovered), stuck)
 
 
 def _pad_to_quotas(system: SetSystem, spec: FairnessSpec, base: Cover, key=None) -> Cover:
@@ -183,20 +205,13 @@ def _quota_tuples(
 
 def best_coverage_tuple(
     system: SetSystem, state: GreedyState, per_round: Sequence[int]
-) -> tuple[int, ...]:
+) -> tuple[int, ...] | None:
     """Exhaustive argmax of new coverage over all quota tuples; ties go to
-    the lexicographically smallest tuple."""
+    the lexicographically smallest tuple, and None means no tuple covers a
+    new element."""
     _check_availability(state.remaining, per_round)
-    # _check_availability leaves every active color at least its quota of
-    # sets, so the tuple product is non-empty and best_ids gets set.
-    best_new = -1
-    best_ids: tuple[int, ...] = ()
-    for ids, mask in _quota_tuples(system.masks, state.remaining, per_round):
-        new = (mask & state.uncovered).bit_count()
-        if new > best_new or (new == best_new and ids < best_ids):
-            best_new = new
-            best_ids = ids
-    return best_ids
+    tuples = _quota_tuples(system.masks, state.remaining, per_round)
+    return _best_candidate(tuples, state.uncovered)
 
 
 def greedy_allpick(system: SetSystem, spec: FairnessSpec) -> Cover:
@@ -207,13 +222,11 @@ def greedy_allpick(system: SetSystem, spec: FairnessSpec) -> Cover:
     elements. Covers are quota-exact by construction and at most
     (ln n + 1) times the smallest quota-respecting cover.
     """
-    state = GreedyState.fresh(system)
-    while state.uncovered:
-        ids = best_coverage_tuple(system, state, spec.per_round)
-        if state.new_coverage(system, ids) == 0:
-            raise NoProgress("no quota tuple covers a new element")
-        state.commit(system, ids)
-    return state.to_cover(system)
+    return _run_rounds(
+        system, spec.per_round,
+        lambda state: best_coverage_tuple(system, state, spec.per_round),
+        NoProgress("no quota tuple covers a new element"),
+    )
 
 
 def mkcc_greedy(
@@ -224,31 +237,23 @@ def mkcc_greedy(
     met, then pad under-quota colors with their lowest-index remaining sets.
     Never mutates state; returns exactly sum(per_round) ids."""
     _check_availability(state.remaining, per_round)
-    masks = system.masks
     working = state.uncovered
     taken: set[int] = set()
     quota_left = list(per_round)
     total_left = sum(per_round)
     while total_left > 0 and working:
-        best_i = -1
-        best_new = 0
-        eligible = sorted(
-            i
-            for h, g in enumerate(state.remaining)
-            if quota_left[h] > 0
-            for i in g
-            if i not in taken
+        eligible = (
+            ((i,), system.masks[i])
+            for h, g in enumerate(state.remaining) if quota_left[h] > 0
+            for i in g if i not in taken
         )
-        for i in eligible:
-            new = (masks[i] & working).bit_count()
-            if new > best_new:
-                best_new = new
-                best_i = i
-        if best_i < 0:
+        best = _best_candidate(eligible, working)
+        if best is None:
             break
-        taken.add(best_i)
-        working &= ~masks[best_i]
-        quota_left[system.colors[best_i]] -= 1
+        (i,) = best
+        taken.add(i)
+        working &= ~system.masks[i]
+        quota_left[system.colors[i]] -= 1
         total_left -= 1
     for h, g in enumerate(state.remaining):
         for i in g:
@@ -357,14 +362,11 @@ def eff_fsc(
     if subroutine not in ("greedy", "lp"):
         raise ValueError(f"unknown subroutine {subroutine!r}")
     rng = as_rng(rng)
-    state = GreedyState.fresh(system)
-    while state.uncovered:
-        _check_availability(state.remaining, spec.per_round)
+
+    def pick(state: GreedyState) -> tuple[int, ...]:
         if subroutine == "greedy":
-            ids = mkcc_greedy(system, state, spec.per_round)
-        else:
-            ids = _sampled_round(system, state, spec.per_round, rng, lp_solver)
-        if state.new_coverage(system, ids) == 0:
-            raise NoProgress("round subroutine could not cover a new element")
-        state.commit(system, ids)
-    return state.to_cover(system)
+            return mkcc_greedy(system, state, spec.per_round)
+        return _sampled_round(system, state, spec.per_round, rng, lp_solver)
+
+    stuck = NoProgress("round subroutine could not cover a new element")
+    return _run_rounds(system, spec.per_round, pick, stuck)

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     AllTauInfeasible,
     AllTuplesZeroCoverage,
+    NoProgress,
     NumericalFailure,
     ResampleCapExceeded,
 )
@@ -27,9 +28,11 @@ from .lp import LpSolver, build_weighted_mkcc_lp, color_sampling_probs, lp_varia
 from .model import Cover, FairnessSpec, SetSystem, elements_of
 from .unweighted import (
     GreedyState,
+    _best_candidate,
     _check_availability,
     _pad_to_quotas,
     _quota_tuples,
+    _run_rounds,
     as_rng,
     sample_round_tuple,
 )
@@ -72,27 +75,12 @@ def naive_wfsc(system: SetSystem, spec: FairnessSpec) -> Cover:
     element; padding then fills each group's quota with its cheapest
     unpicked sets. Guarantee: k * delta * (ln n + 1) times the optimal
     quota-respecting weight, delta being the weight spread."""
-    state = GreedyState.fresh(system)
-    while state.uncovered:
-        # A picked set covers nothing new, so it is skipped from then on.
-        best_key: tuple[float, int] | None = None
-        best_i = -1
-        for i, m in enumerate(system.masks):
-            new = (m & state.uncovered).bit_count()
-            if new == 0:
-                continue
-            key = (system.weight(i) / new, i)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_i = i
-        if best_i < 0:
-            raise AllTuplesZeroCoverage(
-                "uncovered elements remain but no set touches them"
-            )
-        state.commit(system, (best_i,))
-    return _pad_to_quotas(
-        system, spec, state.to_cover(system), key=lambda i: (system.weight(i), i)
+    sets = [((i,), m) for i, m in enumerate(system.masks)]
+    stuck = AllTuplesZeroCoverage("uncovered elements remain but no set touches them")
+    cover = _run_rounds(
+        system, (), lambda state: _best_candidate(sets, state.uncovered, system.weight), stuck
     )
+    return _pad_to_quotas(system, spec, cover, key=lambda i: (system.weight(i), i))
 
 
 def greedy_weighted_allpick(system: SetSystem, spec: FairnessSpec) -> Cover:
@@ -102,22 +90,13 @@ def greedy_weighted_allpick(system: SetSystem, spec: FairnessSpec) -> Cover:
     and commit the cheapest per new element (ties to the lexicographically
     smallest tuple). Guarantee: delta * (ln n + 1) times the optimal
     quota-respecting weight."""
-    state = GreedyState.fresh(system)
-    while state.uncovered:
-        _check_availability(state.remaining, spec.per_round)
-        best_key: tuple[float, tuple[int, ...]] | None = None
-        for ids, mask in _quota_tuples(system.masks, state.remaining, spec.per_round):
-            new = (mask & state.uncovered).bit_count()
-            if new == 0:
-                continue
-            w = sum(system.weight(i) for i in ids)
-            key = (w / new, ids)
-            if best_key is None or key < best_key:
-                best_key = key
-        if best_key is None:
-            raise AllTuplesZeroCoverage("every quota tuple covers zero new elements")
-        state.commit(system, best_key[1])
-    return state.to_cover(system)
+
+    def pick(state: GreedyState) -> tuple[int, ...] | None:
+        tuples = _quota_tuples(system.masks, state.remaining, spec.per_round)
+        return _best_candidate(tuples, state.uncovered, system.weight)
+
+    stuck = AllTuplesZeroCoverage("every quota tuple covers zero new elements")
+    return _run_rounds(system, spec.per_round, pick, stuck)
 
 
 def weighted_mkcc_round(
@@ -191,8 +170,8 @@ def eff_wfsc(
     progress. Expected guarantee: e/(e-1) * delta * (ln n + 1) times the
     optimal quota-respecting weight."""
     rng = as_rng(rng)
-    state = GreedyState.fresh(system)
-    while state.uncovered:
-        cand = weighted_mkcc_round(system, state, spec.per_round, rng, lp_solver)
-        state.commit(system, cand.ids)
-    return state.to_cover(system)
+    return _run_rounds(
+        system, spec.per_round,
+        lambda state: weighted_mkcc_round(system, state, spec.per_round, rng, lp_solver).ids,
+        NoProgress("the sweep winner covers no new element"),
+    )

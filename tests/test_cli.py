@@ -129,6 +129,18 @@ def test_solve_multicover_requirements_file(capsys, tmp_path):
     assert json.loads(out)["cover_size"] > 0
 
 
+def test_requirements_file_with_non_integers_exits_2(capsys, tmp_path):
+    reqs = tmp_path / "reqs.json"
+    reqs.write_text(json.dumps([None] + [1] * 9))
+    code, out, err = run(
+        capsys, "solve", "--algo", "multicover", "--generator", "synthetic",
+        "--n", "10", "--m", "6", "--requirements", str(reqs),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:")
+
+
 def test_solve_weighted_algorithms(capsys):
     for algo in ("wfsc-naive", "wfsc-allpick", "wfsc-eff"):
         code, out, _ = run(

@@ -1,6 +1,8 @@
 """Serialization round trips, parse failures, and the seeded generators."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from faircover.errors import InvalidMatrix, ParseError
 from faircover.io_generators import (
@@ -154,6 +156,84 @@ def test_large_matrix_shape(tmp_path):
     assert back.num_sets == 1986
     assert back.n == 218
     assert back == system
+
+
+@pytest.mark.parametrize(
+    "fmt, data, line",
+    [
+        ("json", b'{"n": 1,\n "sets": [[0]],\n "colors": [\xff]}', 3),
+        ("csv", b"group,e0\ng0,1\n\xfe\xff,1\n", 3),
+        ("json", b"[" * 100_000, None),
+        ("json", b'{"n": ' + b"9" * 5000 + b', "sets": [], "colors": []}', None),
+        ("json", b'{"n": 1, "sets": [[1e400]], "colors": [0]}', None),
+        ("csv", b"group,e0\ng0,1\n" + b"g" * 200_000 + b",1\n", 3),
+    ],
+    ids=["json-not-utf8", "csv-not-utf8", "json-deep", "json-long-int",
+         "json-float-overflow", "csv-huge-cell"],
+)
+def test_malformed_files_raise_parse_error(tmp_path, fmt, data, line):
+    path = tmp_path / f"bad.{fmt}"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as err:
+        load_instance(path, format=fmt)
+    assert err.value.line == line
+
+
+def _mutate(data: bytes, edits) -> bytes:
+    """Apply (position, byte, kind) edits: kind 0 overwrites, 1 inserts, 2
+    deletes the byte at position modulo the current length."""
+    out = bytearray(data)
+    for pos, byte, kind in edits:
+        if not out:
+            out.append(byte)
+            continue
+        pos %= len(out)
+        if kind == 0:
+            out[pos] = byte
+        elif kind == 1:
+            out.insert(pos, byte)
+        else:
+            del out[pos]
+    return bytes(out)
+
+
+@pytest.fixture(scope="module")
+def fuzz_seeds(tmp_path_factory):
+    """A scratch directory plus a valid weighted file in each format."""
+    root = tmp_path_factory.mktemp("fuzz")
+    seeds = {}
+    for fmt in ("json", "csv"):
+        save_instance(sample_system(weighted=True), root / f"seed.{fmt}", format=fmt)
+        seeds[fmt] = (root / f"seed.{fmt}").read_bytes()
+    return root, seeds
+
+
+_edits = st.lists(
+    st.tuples(st.integers(0, 10_000), st.integers(0, 255), st.integers(0, 2)),
+    max_size=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    fmt=st.sampled_from(["json", "csv"]),
+    data=st.one_of(
+        st.binary(max_size=200),
+        st.tuples(st.sampled_from(["json", "csv"]), _edits),
+    ),
+)
+def test_loaders_return_or_raise_parse_error(fuzz_seeds, fmt, data):
+    root, seeds = fuzz_seeds
+    if isinstance(data, tuple):  # a valid file of either format, mutated
+        seed_fmt, edits = data
+        data = _mutate(seeds[seed_fmt], edits)
+    path = root / f"fuzz.{fmt}"
+    path.write_bytes(data)
+    try:
+        system = load_instance(path, format=fmt)
+    except ParseError:
+        return
+    assert isinstance(system, SetSystem)
 
 
 def test_unknown_format_is_refused(tmp_path):

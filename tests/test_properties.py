@@ -1,0 +1,109 @@
+"""Properties every algorithm keeps on random small instances: a complete,
+exactly fair cover or a typed FairCoverError, the same result for the same
+seed, and the proven size bounds against the exact oracle."""
+
+import math
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from faircover.errors import FairCoverError
+from faircover.generalized import gfsc, gfwsc
+from faircover.model import FairnessSpec, SetSystem, fairness_report
+from faircover.multicover import MulticoverInstance, fair_multicover_greedy
+from faircover.oracles import opt_fair_cover
+from faircover.unweighted import eff_fsc, greedy_allpick, greedy_set_cover, naive_fsc
+from faircover.weighted import eff_wfsc, greedy_weighted_allpick, naive_wfsc
+
+
+@st.composite
+def instances(draw):
+    """(system, spec, seed): n <= 10, up to 3 colors each owning a set, at
+    most 16 sets, weights on half the draws, and shares with small
+    denominators (a color may get share zero)."""
+    n = draw(st.integers(1, 10))
+    k = draw(st.integers(1, 3))
+    num = draw(st.integers(k, 16))
+    sets = draw(st.lists(st.sets(st.integers(0, n - 1), max_size=n), min_size=num,
+                         max_size=num))
+    colors = list(range(k)) + draw(
+        st.lists(st.integers(0, k - 1), min_size=num - k, max_size=num - k)
+    )
+    weights = draw(st.one_of(
+        st.none(),
+        st.lists(st.floats(0.5, 3.0), min_size=num, max_size=num),
+    ))
+    shares = draw(st.lists(st.integers(0, 2), min_size=k, max_size=k).filter(any))
+    spec = FairnessSpec([Fraction(c, sum(shares)) for c in shares])
+    return SetSystem(n, sets, colors, weights), spec, draw(st.integers(0, 2**16))
+
+
+def _requirements(system):
+    return [min(2, max(1, len(c))) for c in system.element_sets]
+
+
+def _multicover(mode):
+    def run(system, spec, seed):
+        inst = MulticoverInstance(system, _requirements(system))
+        return fair_multicover_greedy(inst, spec, mode=mode, rng=seed)[0]
+    return run
+
+
+ALGORITHMS = {
+    "naive_fsc": lambda s, spec, seed: naive_fsc(s, spec),
+    "greedy_allpick": lambda s, spec, seed: greedy_allpick(s, spec),
+    "eff_fsc_greedy": lambda s, spec, seed: eff_fsc(s, spec, "greedy", rng=seed),
+    "eff_fsc_lp": lambda s, spec, seed: eff_fsc(s, spec, "lp", rng=seed),
+    "naive_wfsc": lambda s, spec, seed: naive_wfsc(s, spec),
+    "greedy_weighted_allpick": lambda s, spec, seed: greedy_weighted_allpick(s, spec),
+    "eff_wfsc": lambda s, spec, seed: eff_wfsc(s, spec, rng=seed),
+    "gfsc_lp_sub": lambda s, spec, seed: gfsc(s, spec, "lp_sub", rng=seed),
+    "gfwsc_lp_sub": lambda s, spec, seed: gfwsc(s, spec, "lp_sub", rng=seed),
+    "multicover_exhaustive": _multicover("exhaustive"),
+    "multicover_mkcc_sub": _multicover("mkcc_sub"),
+}
+
+
+def _outcome(run, system, spec, seed):
+    """The cover, or the class of the FairCoverError raised. Any other
+    exception fails the test."""
+    try:
+        return run(system, spec, seed)
+    except FairCoverError as exc:
+        return type(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(instances())
+def test_every_algorithm_covers_fairly_or_fails_typed_and_repeats(case):
+    system, spec, seed = case
+    for name, run in ALGORITHMS.items():
+        got = _outcome(run, system, spec, seed)
+        assert _outcome(run, system, spec, seed) == got, name
+        if isinstance(got, type):
+            continue
+        assert fairness_report(system, spec, got).fairness_ratio == 1, name
+        if name.startswith("multicover"):
+            for e, need in enumerate(_requirements(system)):
+                assert sum(e in system.sets[i] for i in got.selected) >= need, name
+        else:
+            assert got.covers_universe(system), name
+    plain = _outcome(lambda s, spec, seed: greedy_set_cover(s), system, spec, seed)
+    assert isinstance(plain, type) or plain.covers_universe(system)
+
+
+@settings(max_examples=40, deadline=None)
+@given(instances())
+def test_quota_greedies_stay_within_their_log_bounds(case):
+    system, spec, _ = case
+    opt = opt_fair_cover(system, spec)
+    if opt is None:
+        return
+    bound = math.log(system.n) + 1
+    allpick = _outcome(lambda s, spec, seed: greedy_allpick(s, spec), system, spec, 0)
+    if not isinstance(allpick, type):
+        assert allpick.size <= bound * opt.size
+    greedy = _outcome(lambda s, spec, seed: eff_fsc(s, spec, "greedy"), system, spec, 0)
+    if not isinstance(greedy, type):
+        assert greedy.size <= 2 * bound * opt.size

@@ -4,10 +4,17 @@ import math
 
 import pytest
 
-from faircover.errors import BudgetExceeded, InsufficientColor
+from faircover.errors import (
+    AllTauInfeasible,
+    AllTuplesZeroCoverage,
+    BudgetExceeded,
+    InsufficientColor,
+    NoProgress,
+)
 from faircover.io_generators import gen_synthetic
 from faircover.lp import LpProblem, LpSolution, build_mkcc_lp, solve
 from faircover.model import FairnessSpec, SetSystem, count_parity, fairness_report
+from faircover.multicover import MulticoverInstance, fair_multicover_greedy
 from faircover.oracles import opt_fair_cover, opt_mkcc, opt_set_cover
 from faircover.unweighted import (
     GreedyState,
@@ -18,6 +25,7 @@ from faircover.unweighted import (
     mkcc_lp_round,
     naive_fsc,
 )
+from faircover.weighted import eff_wfsc, greedy_weighted_allpick, naive_wfsc
 
 from support import brute_best_tuple, replay_states
 
@@ -319,3 +327,43 @@ def test_eff_fsc_sizes_within_doubled_log_bound():
 def test_eff_fsc_rejects_unknown_subroutine():
     with pytest.raises(ValueError):
         eff_fsc(square_system(), SPEC2, subroutine="annealing")
+
+
+# ------------------------------------------------------------- stuck errors
+
+
+def stranded_system():
+    """Element 2 lies in no set. Three sets per color leave a third round
+    available after at most two rounds covering elements 0 and 1, so every
+    round loop gets stuck rather than running out of sets."""
+    return SetSystem(3, [[0], [1], [], [0], [1], []], [0, 0, 0, 1, 1, 1],
+                     weights=[1.0] * 6)
+
+
+def zero_share_multicover():
+    # Only color 1 may be picked, and its one set is empty.
+    return MulticoverInstance(SetSystem(1, [[0], [0], []], [0, 0, 1]), (1,))
+
+
+@pytest.mark.parametrize(
+    "run, error",
+    [
+        (lambda: greedy_set_cover(stranded_system()), NoProgress),
+        (lambda: greedy_allpick(stranded_system(), SPEC2), NoProgress),
+        (lambda: eff_fsc(stranded_system(), SPEC2, subroutine="greedy"), NoProgress),
+        (lambda: eff_fsc(stranded_system(), SPEC2, subroutine="lp", rng=0), NoProgress),
+        (lambda: naive_wfsc(stranded_system(), SPEC2), AllTuplesZeroCoverage),
+        (lambda: greedy_weighted_allpick(stranded_system(), SPEC2),
+         AllTuplesZeroCoverage),
+        (lambda: eff_wfsc(stranded_system(), SPEC2, rng=0), AllTauInfeasible),
+        (lambda: fair_multicover_greedy(zero_share_multicover(), FairnessSpec([0, 1])),
+         NoProgress),
+        (lambda: fair_multicover_greedy(zero_share_multicover(), FairnessSpec([0, 1]),
+                                        mode="mkcc_sub", rng=0), NoProgress),
+    ],
+    ids=["sc", "allpick", "eff-greedy", "eff-lp", "wfsc-naive", "wfsc-allpick",
+         "wfsc-eff", "multicover", "multicover-lp"],
+)
+def test_stuck_round_loops_raise_their_typed_error(run, error):
+    with pytest.raises(error):
+        run()
