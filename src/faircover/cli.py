@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .errors import BudgetExceeded, FairCoverError, ParseError
 from .generalized import EpsilonSpec, epsilon_gfsc, gfsc
-from .io_generators import gen_biased, gen_synthetic, load_instance
+from .io_generators import _is_int, gen_biased, gen_synthetic, load_instance
 from .model import (
     Cover,
     FairnessSpec,
@@ -164,9 +164,12 @@ def _requirements(args, system) -> tuple[int, ...]:
         const = int(args.requirements)
     except ValueError:
         try:
-            return tuple(int(r) for r in json.loads(Path(args.requirements).read_text()))
-        except (TypeError, OverflowError, RecursionError):
+            reqs = json.loads(Path(args.requirements).read_text())
+        except RecursionError:
+            reqs = None
+        if not isinstance(reqs, list) or not all(_is_int(r) for r in reqs):
             raise ValueError("--requirements file must hold a JSON list of integers") from None
+        return tuple(reqs)
     return tuple([const] * system.n)
 
 

@@ -71,6 +71,10 @@ def _read_text(path: Path) -> str:
         raise ParseError(f"not UTF-8 text: {exc.reason}", line=line) from None
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)  # JSON true is a bool
+
+
 def _load_json(path: Path) -> SetSystem:
     try:
         payload = json.loads(_read_text(path))
@@ -85,6 +89,9 @@ def _load_json(path: Path) -> SetSystem:
     if missing:
         raise ParseError(f"missing keys: {sorted(missing)}")
     try:
+        for value in [payload["n"], *(e for s in payload["sets"] for e in s), *payload["colors"]]:
+            if not _is_int(value):
+                raise ParseError(f"{value!r} is not an integer (n, element ids, colors)")
         return SetSystem(
             n=payload["n"],
             sets=payload["sets"],
@@ -163,6 +170,15 @@ def _load_csv(path: Path) -> SetSystem:
 # -------------------------------------------------------------- generators
 
 
+def _repair(sets: list[list[int]], n: int, rng: np.random.Generator) -> None:
+    """Append every element in [0, n) that no set holds to one random set,
+    in ascending element order, one draw each."""
+    covered = {int(e) for s_ in sets for e in s_}
+    for j in range(n):
+        if j not in covered:
+            sets[int(rng.integers(len(sets)))].append(j)
+
+
 def gen_synthetic(
     n: int,
     m_per_color: int,
@@ -193,12 +209,7 @@ def gen_synthetic(
         raise ValueError(f"unknown coverage distribution {kind!r}")
     mu = m_per_color * k
     sets = [list(np.flatnonzero(rng.random(n) < p)) for _ in range(mu)]
-    covered = set()
-    for s_ in sets:
-        covered.update(int(e) for e in s_)
-    for j in range(n):
-        if j not in covered:
-            sets[int(rng.integers(mu))].append(j)
+    _repair(sets, n, rng)
     colors = [h for h in range(k) for _ in range(m_per_color)]
     weights = None
     if weight_dist is not None:
@@ -234,12 +245,7 @@ def gen_biased(
         probs.extend([rich_p] * rich_here + [poor_p] * (m_per_color - rich_here))
     mu = 2 * m_per_color
     sets = [list(np.flatnonzero(rng.random(n) < probs[i])) for i in range(mu)]
-    covered = set()
-    for s_ in sets:
-        covered.update(int(e) for e in s_)
-    for j in range(n):
-        if j not in covered:
-            sets[int(rng.integers(mu))].append(j)
+    _repair(sets, n, rng)
     colors = [0] * m_per_color + [1] * m_per_color
     return SetSystem(n, sets, colors)
 

@@ -7,15 +7,17 @@ hang. Zero-rhs ">=" rows (the relaxations' coverage rows
 sum x - y_e >= 0) start from their slack, so phase one only has to drive
 out the artificials of the quota equalities and of a positive target row.
 
-An LpProblem holds read-only numpy arrays: the constraint matrix A, one
-relation string per row and the right-hand sides rhs. The relaxation
-builders fill A directly (LpProblem.from_arrays); the constructor takes
-(row, rel, rhs) triples, and the constraints property gives them back.
-Every simplex pivot, phase one's drive-out of artificials included, goes
-through one tableau-update step (_pivot).
+The boundary is arrays on both sides. An LpProblem is built from the
+objective, the constraint matrix A, one relation string per row, the
+right-hand sides rhs and optional (lo, hi) bounds; float64 arrays are
+adopted without a copy and made read-only. An LpSolution carries the
+optimal point as a read-only float64 array. Every simplex pivot, phase
+one's drive-out of artificials included, goes through one tableau-update
+step (_pivot).
 
 Anything implementing solve(problem) -> LpSolution with the same statuses
-can be swapped in through the lp_solver arguments downstream.
+can be swapped in through the lp_solver arguments downstream; its values
+may be any sequence of floats laid out like the problem's variables.
 """
 
 from __future__ import annotations
@@ -47,8 +49,10 @@ class LpProblem:
     """min or max of objective . x subject to A x (relations) rhs and box
     bounds, one (lo, hi) row per variable ([0, 1] when bounds is None).
 
-    The arrays are read-only. constraints gives the rows back as
-    (row, relation, rhs) triples.
+    Float64 arrays passed in become the problem's own, without a copy, and
+    every array is made read-only. A problem without rows takes an empty A
+    such as []. constraints gives the rows back as (row, relation, rhs)
+    triples.
     """
 
     sense: str
@@ -62,39 +66,11 @@ class LpProblem:
         self,
         sense: str,
         objective: Sequence[float],
-        constraints: Sequence[tuple[Sequence[float], Relation, float]],
+        A: np.ndarray | Sequence[Sequence[float]],
+        relations: Sequence[Relation],
+        rhs: Sequence[float],
         bounds: Sequence[tuple[float, float]] | None = None,
     ):
-        obj = np.array(objective, dtype=float)
-        rows, rels, rhs = [], [], []
-        for idx, (row, rel, b) in enumerate(constraints):
-            if len(row) != len(obj):
-                raise DimensionMismatch(
-                    f"constraint {idx} has {len(row)} coefficients for {len(obj)} variables"
-                )
-            rows.append(row)
-            rels.append(rel)
-            rhs.append(b)
-        A = np.array(rows, dtype=float).reshape(len(rows), len(obj))
-        self._set(sense, obj, A, rels, np.array(rhs, dtype=float), bounds)
-
-    @classmethod
-    def from_arrays(
-        cls,
-        sense: str,
-        objective: np.ndarray,
-        A: np.ndarray,
-        relations: Sequence[Relation],
-        rhs: np.ndarray,
-        bounds: np.ndarray | None = None,
-    ) -> "LpProblem":
-        """Build from the constraint matrix without copying it: float64
-        arrays passed in become the problem's own and are made read-only."""
-        problem = cls.__new__(cls)
-        problem._set(sense, objective, A, relations, rhs, bounds)
-        return problem
-
-    def _set(self, sense, objective, A, relations, rhs, bounds) -> None:
         if sense not in ("min", "max"):
             raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
         obj = np.asarray(objective, dtype=float)
@@ -102,6 +78,8 @@ class LpProblem:
         rels = tuple(relations)
         b = np.asarray(rhs, dtype=float)
         nvar = len(obj)
+        if not rels and A.size == 0:
+            A = A.reshape(0, nvar)
         if obj.ndim != 1 or A.shape != (len(rels), nvar) or b.shape != (len(rels),):
             raise DimensionMismatch(
                 f"objective {obj.shape}, A {A.shape}, {len(rels)} relations "
@@ -144,26 +122,28 @@ class LpProblem:
 
     def __repr__(self) -> str:
         return (
-            f"LpProblem({self.sense!r}, objective={self.objective.tolist()}, "
-            f"constraints={[(r.tolist(), rel, b) for r, rel, b in self.constraints]}, "
-            f"bounds={self.bounds.tolist()})"
+            f"LpProblem({self.sense!r}, {self.objective.tolist()}, {self.A.tolist()}, "
+            f"{self.relations}, {self.rhs.tolist()}, bounds={self.bounds.tolist()})"
         )
 
 
 @dataclass(frozen=True)
 class LpSolution:
     """status is 'optimal', 'infeasible' or 'unbounded'; values/objective are
-    meaningful only when optimal."""
+    meaningful only when optimal. solve() gives values as a read-only
+    float64 array, one entry per variable."""
 
     status: str
-    values: tuple[float, ...]
+    values: np.ndarray
     objective: float
 
 
 LpSolver = Callable[[LpProblem], LpSolution]
 
-_INFEASIBLE = LpSolution("infeasible", (), math.nan)
-_UNBOUNDED = LpSolution("unbounded", (), math.nan)
+_NO_VALUES = np.empty(0)
+_NO_VALUES.flags.writeable = False
+_INFEASIBLE = LpSolution("infeasible", _NO_VALUES, math.nan)
+_UNBOUNDED = LpSolution("unbounded", _NO_VALUES, math.nan)
 
 
 def _pivot(T: np.ndarray, leave: int, enter: int) -> None:
@@ -223,7 +203,7 @@ def solve(problem: LpProblem) -> LpSolution:
     """
     nvar = problem.num_vars
     if nvar == 0:
-        return LpSolution("optimal", (), 0.0)
+        return LpSolution("optimal", _NO_VALUES, 0.0)
     lo = problem.bounds[:, 0]
     hi = problem.bounds[:, 1]
     c_orig = problem.objective
@@ -309,7 +289,8 @@ def solve(problem: LpProblem) -> LpSolution:
         raise NumericalFailure(
             f"constraint {idx} residual {resid[idx]:.3e} after optimal pivot"
         )
-    return LpSolution("optimal", tuple(x.tolist()), float(c_orig @ x))
+    x.flags.writeable = False
+    return LpSolution("optimal", x, float(c_orig @ x))
 
 
 def lp_variable_order(
@@ -385,7 +366,7 @@ def build_mkcc_lp(
     )
     objective = np.zeros(nx + ny)
     objective[nx:] = 1.0
-    return LpProblem.from_arrays("max", objective, A, relations, rhs)
+    return LpProblem("max", objective, A, relations, rhs)
 
 
 def build_weighted_mkcc_lp(
@@ -405,7 +386,7 @@ def build_weighted_mkcc_lp(
     rhs[-1] = tau
     objective = np.zeros(nx + ny)
     objective[:nx] = [system.weight(i) for i in x_ids]
-    return LpProblem.from_arrays("min", objective, A, relations, rhs)
+    return LpProblem("min", objective, A, relations, rhs)
 
 
 def color_sampling_probs(
@@ -415,15 +396,17 @@ def color_sampling_probs(
 ) -> list[np.ndarray]:
     """Turn the x part of an optimal relaxation into per-color sampling laws.
 
-    values must start with the x block laid out like lp_variable_order's
-    output. Each color's mass is clipped to [0,1]; if it then strays more
-    than MASS_DRIFT_TOL from the quota the solve was numerically unsound
-    and NumericalFailure is raised. The returned vectors sum to one.
+    values, any sequence of floats, must start with the x block laid out
+    like lp_variable_order's output. Each color's mass is clipped to [0,1];
+    if it then strays more than MASS_DRIFT_TOL from the quota the solve was
+    numerically unsound and NumericalFailure is raised. The returned
+    vectors sum to one.
     """
+    values = np.asarray(values, dtype=float)
     out: list[np.ndarray] = []
     pos = 0
     for g, p in zip(groups, quotas):
-        x = np.clip(np.array(values[pos : pos + len(g)]), 0.0, 1.0)
+        x = np.clip(values[pos : pos + len(g)], 0.0, 1.0)
         pos += len(g)
         drift = abs(float(x.sum()) - p)
         if drift > MASS_DRIFT_TOL:

@@ -31,6 +31,14 @@ def mask_of(elements: Iterable[int], n: int) -> int:
     return m
 
 
+def union_of(masks: Sequence[int], ids: Iterable[int]) -> int:
+    """The OR of masks[i] over ids."""
+    out = 0
+    for i in ids:
+        out |= masks[i]
+    return out
+
+
 def elements_of(mask: int) -> list[int]:
     """The elements whose bits are set in mask, ascending."""
     out = []
@@ -309,13 +317,11 @@ class Cover:
         return len(self.selected)
 
     def covered_elements(self, system: SetSystem) -> frozenset[int]:
-        out: set[int] = set()
-        for i in self.selected:
-            out.update(system.sets[i])
-        return frozenset(out)
+        """The elements in [0, n) that the selected sets contain."""
+        return frozenset(elements_of(union_of(system.masks, self.selected)))
 
     def covers_universe(self, system: SetSystem) -> bool:
-        return len(self.covered_elements(system)) == system.n
+        return union_of(system.masks, self.selected) == (1 << system.n) - 1
 
 
 @dataclass(frozen=True)

@@ -22,12 +22,11 @@ import numpy as np
 
 from .errors import AuditFailure, InfeasibleRequirement, NoProgress
 from .lp import LpSolver, solve
-from .model import Cover, FairnessSpec, SetSystem, elements_of
+from .model import Cover, FairnessSpec, SetSystem, elements_of, union_of
 from .unweighted import (
     GreedyState,
     _run_rounds,
     _sampled_round,
-    _union,
     as_rng,
     best_coverage_tuple,
 )
@@ -136,7 +135,7 @@ def fair_multicover_greedy(
 
     def commit(state: GreedyState, system: SetSystem, ids: Sequence[int]) -> None:
         alive = state.uncovered
-        touched = elements_of(_union(system.masks, ids) & alive)
+        touched = elements_of(union_of(system.masks, ids) & alive)
         alive_history.append(alive.bit_count())
         price = round_size / len(touched)
         for j in touched:

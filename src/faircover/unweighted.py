@@ -31,7 +31,7 @@ from .lp import (
     lp_variable_order,
     solve,
 )
-from .model import Cover, FairnessSpec, SetSystem, elements_of
+from .model import Cover, FairnessSpec, SetSystem, elements_of, union_of
 
 # Refuse any quota-tuple enumeration (exhaustive rounds and the oracles)
 # with more candidate tuples than this.
@@ -65,7 +65,7 @@ class GreedyState:
         )
 
     def new_coverage(self, system: SetSystem, ids: Sequence[int]) -> int:
-        return (_union(system.masks, ids) & self.uncovered).bit_count()
+        return (union_of(system.masks, ids) & self.uncovered).bit_count()
 
     def commit(self, system: SetSystem, ids: Sequence[int]) -> None:
         ids = tuple(sorted(ids))
@@ -166,13 +166,6 @@ def _check_availability(
             raise InsufficientColor(h, p, len(remaining[h]))
 
 
-def _union(masks: Sequence[int], ids: Sequence[int]) -> int:
-    out = 0
-    for i in ids:
-        out |= masks[i]
-    return out
-
-
 def _quota_tuples(
     masks: Sequence[int], pools: Sequence[Sequence[int]], counts: Sequence[int]
 ):
@@ -192,7 +185,7 @@ def _quota_tuples(
     # Each color's combinations carry their union, so a tuple ORs one mask
     # per color rather than one per set.
     choices = [
-        [(combo, _union(masks, combo)) for combo in combinations(pool, c)]
+        [(combo, union_of(masks, combo)) for combo in combinations(pool, c)]
         for pool, c in zip(pools, counts)
         if c > 0
     ]

@@ -24,7 +24,8 @@ from .errors import (
     NumericalFailure,
     ResampleCapExceeded,
 )
-from .lp import LpSolver, build_weighted_mkcc_lp, color_sampling_probs, lp_variable_order, solve
+from .lp import LpProblem, LpSolver, build_weighted_mkcc_lp, color_sampling_probs
+from .lp import lp_variable_order, solve
 from .model import Cover, FairnessSpec, SetSystem, elements_of
 from .unweighted import (
     GreedyState,
@@ -112,8 +113,10 @@ def weighted_mkcc_round(
     For each tau = 1 .. |uncovered|: solve the weight-minimizing relaxation
     pinned to cover at least tau, then rejection-sample quota tuples from
     the fractional masses until one newly covers accept_threshold(tau)
-    elements. Targets whose relaxation is infeasible end the sweep (larger
-    targets only get harder). Ties on the ratio prefer the smallest target.
+    elements. The relaxation is built once per round; each target only
+    sets the rhs of its last row. Targets whose relaxation is infeasible
+    end the sweep (larger targets only get harder). Ties on the ratio
+    prefer the smallest target.
 
     Raises AllTauInfeasible when no target is feasible and
     ResampleCapExceeded when a target's sampler exhausts resample_cap(n)
@@ -127,10 +130,12 @@ def weighted_mkcc_round(
     groups = lp_variable_order(state.remaining, per_round)
     quotas = [p for p in per_round if p > 0]
     cap = resample_cap(system.n)
+    lp = build_weighted_mkcc_lp(system, state.remaining, uncovered, per_round, 1)
     best: TauCandidate | None = None
     for tau in range(1, len(uncovered) + 1):
-        lp = build_weighted_mkcc_lp(system, state.remaining, uncovered, per_round, tau)
-        sol = lp_solver(lp)
+        rhs = lp.rhs.copy()
+        rhs[-1] = tau
+        sol = lp_solver(LpProblem(lp.sense, lp.objective, lp.A, lp.relations, rhs))
         if sol.status == "infeasible":
             break
         if sol.status != "optimal":

@@ -3,11 +3,15 @@ own enumeration code so checks never share a code path with what they check."""
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import numpy as np
 
 from faircover.model import SetSystem
+
+
+# Candidate bases enumerate_lp solves at once: about 3 MB at ten variables.
+ENUM_CHUNK = 4096
 
 
 def enumerate_lp(problem, tol=1e-7):
@@ -23,82 +27,63 @@ def enumerate_lp(problem, tol=1e-7):
     feasibility filter still enforces them); an inconsistent equality
     system short-circuits to infeasible. Only valid when every bound is
     finite, which makes the feasible region a polytope: nonempty iff some
-    vertex exists.
+    vertex exists. Candidates are solved ENUM_CHUNK at a time, so memory
+    stays flat; ties go to the first best vertex in enumeration order.
     """
     n = problem.num_vars
-    planes: list[tuple[np.ndarray, float]] = []
-    eq_rows: list[int] = []
-    for a, rel, b in problem.constraints:
-        if rel == "=":
-            eq_rows.append(len(planes))
-        planes.append((np.array(a, dtype=float), float(b)))
-    for j in range(n):
-        lo, hi = problem.bounds[j]
-        assert np.isfinite(lo) and np.isfinite(hi), "oracle needs finite boxes"
-        e = np.zeros(n)
-        e[j] = 1.0
-        planes.append((e.copy(), float(lo)))
-        planes.append((e, float(hi)))
+    A = np.asarray(problem.A, dtype=float)
+    rhs = np.asarray(problem.rhs, dtype=float)
+    rels = problem.relations
+    lo, hi = np.asarray(problem.bounds, dtype=float).T
+    assert np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)), "oracle needs finite boxes"
+    # Planes: every constraint row, then x_j = lo_j and x_j = hi_j per variable.
+    plane_A = np.vstack([A, np.repeat(np.eye(n), 2, axis=0)])
+    plane_b = np.concatenate([rhs, np.column_stack([lo, hi]).ravel()])
+    eq_rows = [i for i, rel in enumerate(rels) if rel == "="]
     mandatory: list[int] = []
     if eq_rows:
-        A_eq = np.array([planes[i][0] for i in eq_rows])
-        b_eq = np.array([planes[i][1] for i in eq_rows])
+        A_eq, b_eq = plane_A[eq_rows], plane_b[eq_rows]
         if np.linalg.matrix_rank(A_eq) != np.linalg.matrix_rank(
             np.column_stack([A_eq, b_eq])
         ):
             return ("infeasible", None, None)
-        kept: list[np.ndarray] = []
         for i in eq_rows:
-            trial = kept + [planes[i][0]]
-            if np.linalg.matrix_rank(np.array(trial)) == len(trial):
-                kept.append(planes[i][0])
+            trial = plane_A[mandatory + [i]]
+            if np.linalg.matrix_rank(trial) == len(trial):
                 mandatory.append(i)
-    free = [i for i in range(len(planes)) if i not in mandatory]
-    need = n - len(mandatory)
-    plane_A = np.array([a for a, _ in planes])
-    plane_b = np.array([b for _, b in planes])
-    idx = np.array([mandatory + list(extra) for extra in combinations(free, need)])
-    A_stack = plane_A[idx]  # (K, n, n)
-    b_stack = plane_b[idx]  # (K, n)
-    dets = np.linalg.det(A_stack)
-    regular = np.abs(dets) > 1e-9
-    if not regular.any():
+    free = [i for i in range(len(plane_A)) if i not in mandatory]
+    candidates = (mandatory + list(extra) for extra in combinations(free, n - len(mandatory)))
+    better = np.greater if problem.sense == "max" else np.less
+    best_val, best_x = None, None
+    while True:
+        idx = np.array(list(islice(candidates, ENUM_CHUNK)), dtype=np.intp)
+        if not len(idx):
+            break
+        A_stack = plane_A[idx]  # (chunk, n, n)
+        b_stack = plane_b[idx]  # (chunk, n)
+        regular = np.abs(np.linalg.det(A_stack)) > 1e-9
+        if not regular.any():
+            continue
+        X = np.linalg.solve(A_stack[regular], b_stack[regular][..., None])[..., 0]
+        X = X[np.all(np.isfinite(X), axis=1)]
+        feas = np.all(X >= lo - tol, axis=1) & np.all(X <= hi + tol, axis=1)
+        for a, rel, b in zip(A, rels, rhs):
+            v = X @ a
+            if rel == "=":
+                feas &= np.abs(v - b) <= tol
+            elif rel == "<=":
+                feas &= v <= b + tol
+            else:
+                feas &= v >= b - tol
+        if not feas.any():
+            continue
+        vals = X[feas] @ np.asarray(problem.objective, dtype=float)
+        pick = int(np.argmax(vals)) if problem.sense == "max" else int(np.argmin(vals))
+        if best_val is None or better(vals[pick], best_val):
+            best_val, best_x = float(vals[pick]), X[feas][pick]
+    if best_val is None:
         return ("infeasible", None, None)
-    X = np.linalg.solve(A_stack[regular], b_stack[regular][..., None])[..., 0]
-    finite = np.all(np.isfinite(X), axis=1)
-    X = X[finite]
-    feas = np.ones(len(X), dtype=bool)
-    for a, rel, b in problem.constraints:
-        v = X @ np.array(a, dtype=float)
-        if rel == "=":
-            feas &= np.abs(v - b) <= tol
-        elif rel == "<=":
-            feas &= v <= b + tol
-        else:
-            feas &= v >= b - tol
-    lo = np.array([b[0] for b in problem.bounds])
-    hi = np.array([b[1] for b in problem.bounds])
-    feas &= np.all(X >= lo - tol, axis=1) & np.all(X <= hi + tol, axis=1)
-    if not feas.any():
-        return ("infeasible", None, None)
-    vals = X[feas] @ np.array(problem.objective)
-    pick = int(np.argmax(vals)) if problem.sense == "max" else int(np.argmin(vals))
-    return ("optimal", float(vals[pick]), X[feas][pick])
-
-
-def _feasible(problem, x, tol):
-    for a, rel, b in problem.constraints:
-        v = float(np.array(a) @ x)
-        if rel == "=" and abs(v - b) > tol:
-            return False
-        if rel == "<=" and v > b + tol:
-            return False
-        if rel == ">=" and v < b - tol:
-            return False
-    for j, (lo, hi) in enumerate(problem.bounds):
-        if x[j] < lo - tol or x[j] > hi + tol:
-            return False
-    return True
+    return ("optimal", best_val, best_x)
 
 
 def replay_states(system: SetSystem, rounds, requirements=None):
@@ -168,6 +153,18 @@ def brute_quota_tuples(system: SetSystem, pools, counts):
             e for i in ids for e in system.sets[i] if 0 <= e < system.n
         )
     return out
+
+
+def lightest_tuple_weight(system: SetSystem, targets, remaining, per_round, tau):
+    """The least total weight of a quota tuple drawn from remaining whose
+    sets cover at least tau of targets, or None when no tuple does."""
+    targets = frozenset(targets)
+    weights = [
+        sum(system.weight(i) for i in ids)
+        for ids, covered in brute_quota_tuples(system, remaining, per_round).items()
+        if len(covered & targets) >= tau
+    ]
+    return min(weights, default=None)
 
 
 def all_covers(system: SetSystem):

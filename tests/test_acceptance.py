@@ -427,26 +427,29 @@ def _random_lp(seed):
     m = int(rng.integers(1, 9))
     a = rng.integers(-4, 5, size=(m, n)).astype(float)
     x_feas = rng.uniform(0.0, 1.0, size=n)
-    constraints = []
+    relations = []
+    rhs = []
     for r in range(m):
         lhs = float(a[r] @ x_feas)
         roll = rng.random()
         if roll < 0.15 and m <= 6:
-            constraints.append((list(a[r]), "=", lhs))
+            relations.append("=")
+            rhs.append(lhs)
         elif roll < 0.6:
             slack = abs(rng.normal(0.0, 1.0)) * float(rng.choice([0.0, 1.0]))
-            constraints.append((list(a[r]), "<=", lhs + slack))
+            relations.append("<=")
+            rhs.append(lhs + slack)
         else:
             slack = abs(rng.normal(0.0, 1.0)) * float(rng.choice([0.0, 1.0]))
-            constraints.append((list(a[r]), ">=", lhs - slack))
+            relations.append(">=")
+            rhs.append(lhs - slack)
     if rng.random() < 0.25:  # sometimes break feasibility on purpose
         r = int(rng.integers(m))
-        row, rel, rhs = constraints[r]
-        constraints[r] = (row, rel, rhs - 50.0 if rel == "<=" else rhs + 50.0)
+        rhs[r] += -50.0 if relations[r] == "<=" else 50.0
     c = rng.integers(-5, 6, size=n).astype(float)
     hi = float(rng.choice([1.0, 3.0]))
     sense = "max" if rng.random() < 0.5 else "min"
-    return LpProblem(sense, list(c), constraints, bounds=[(0.0, hi)] * n)
+    return LpProblem(sense, c, a, relations, rhs, bounds=[(0.0, hi)] * n)
 
 
 def test_c11_simplex_matches_vertex_enumeration(capsys):
@@ -465,7 +468,7 @@ def test_c11_simplex_matches_vertex_enumeration(capsys):
         from faircover.lp import LpProblem
 
         open_ended = LpProblem(
-            "max", [1.0], [([1.0], ">=", 0.0)], bounds=[(0.0, math.inf)]
+            "max", [1.0], [[1.0]], [">="], [0.0], bounds=[(0.0, math.inf)]
         )
         assert solve(open_ended).status == "unbounded"
         info["detail"] = (

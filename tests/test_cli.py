@@ -141,6 +141,19 @@ def test_requirements_file_with_non_integers_exits_2(capsys, tmp_path):
     assert err.startswith("input error:")
 
 
+@pytest.mark.parametrize("first", [1.9, True], ids=["fraction", "bool"])
+def test_requirements_file_with_non_integer_demand_exits_2(capsys, tmp_path, first):
+    reqs = tmp_path / "reqs.json"
+    reqs.write_text(json.dumps([first] + [1] * 9))
+    code, out, err = run(
+        capsys, "solve", "--algo", "multicover", "--generator", "synthetic",
+        "--n", "10", "--m", "6", "--requirements", str(reqs),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:")
+
+
 def test_solve_weighted_algorithms(capsys):
     for algo in ("wfsc-naive", "wfsc-allpick", "wfsc-eff"):
         code, out, _ = run(

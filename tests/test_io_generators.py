@@ -179,6 +179,22 @@ def test_malformed_files_raise_parse_error(tmp_path, fmt, data, line):
     assert err.value.line == line
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        b'{"n": true, "sets": [[0]], "colors": [false]}',
+        b'{"n": 2, "sets": [[0, 1.5]], "colors": [0]}',
+        b'{"n": 1, "sets": [[0]], "colors": [0.5]}',
+    ],
+    ids=["json-bool-n-and-color", "json-fractional-element", "json-fractional-color"],
+)
+def test_json_non_integers_raise_parse_error(tmp_path, data):
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    with pytest.raises(ParseError, match="is not an integer"):
+        load_instance(path)
+
+
 def _mutate(data: bytes, edits) -> bytes:
     """Apply (position, byte, kind) edits: kind 0 overwrites, 1 inserts, 2
     deletes the byte at position modulo the current length."""

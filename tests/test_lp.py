@@ -33,7 +33,7 @@ def objective_close(a, b):
 
 
 def test_single_variable_maximization_hits_cap():
-    lp = LpProblem("max", [1.0], [([1.0], "<=", 0.5)])
+    lp = LpProblem("max", [1.0], [[1.0]], ["<="], [0.5])
     sol = solve(lp)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(0.5, abs=FEAS_TOL)
@@ -41,13 +41,12 @@ def test_single_variable_maximization_hits_cap():
 
 
 def test_contradictory_rows_are_infeasible():
-    lp = LpProblem("max", [1.0, 1.0],
-                   [([1.0, 1.0], ">=", 3.0)])  # both capped at 1
+    lp = LpProblem("max", [1.0, 1.0], [[1.0, 1.0]], [">="], [3.0])  # both capped at 1
     assert solve(lp).status == "infeasible"
 
 
 def test_equality_pins_value():
-    lp = LpProblem("min", [1.0, 2.0], [([1.0, 1.0], "=", 1.0)])
+    lp = LpProblem("min", [1.0, 2.0], [[1.0, 1.0]], ["="], [1.0])
     sol = solve(lp)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(1.0)
@@ -55,30 +54,44 @@ def test_equality_pins_value():
 
 
 def test_unbounded_detected_with_open_bounds():
-    lp = LpProblem("max", [1.0], [], bounds=[(0.0, math.inf)])
+    lp = LpProblem("max", [1.0], [], [], [], bounds=[(0.0, math.inf)])
     assert solve(lp).status == "unbounded"
     lp2 = LpProblem(
-        "max", [1.0, 1.0], [([1.0, -1.0], "<=", 1.0)],
+        "max", [1.0, 1.0], [[1.0, -1.0]], ["<="], [1.0],
         bounds=[(0.0, math.inf), (0.0, math.inf)],
     )
     assert solve(lp2).status == "unbounded"
 
 
+def test_arrays_are_adopted_read_only():
+    # Float64 arrays become the problem's own without a copy; solve() hands
+    # back the optimal point as a read-only float64 array.
+    objective, A, rhs = np.array([1.0, 1.0]), np.array([[1.0, 2.0]]), np.array([1.0])
+    lp = LpProblem("max", objective, A, ["<="], rhs)
+    assert lp.objective is objective and lp.A is A and lp.rhs is rhs
+    assert not A.flags.writeable
+    sol = solve(lp)
+    assert sol.values.dtype == np.float64 and not sol.values.flags.writeable
+    assert sol.values.tolist() == [1.0, 0.0]
+
+
 def test_dimension_mismatch_raises():
     with pytest.raises(DimensionMismatch):
-        LpProblem("max", [1.0, 1.0], [([1.0], "<=", 1.0)])
+        LpProblem("max", [1.0, 1.0], [[1.0]], ["<="], [1.0])
     with pytest.raises(DimensionMismatch):
-        LpProblem("max", [1.0], [], bounds=[(0, 1), (0, 1)])
+        LpProblem("max", [1.0], [[1.0]], ["<=", "<="], [1.0, 1.0])
+    with pytest.raises(DimensionMismatch):
+        LpProblem("max", [1.0], [], [], [], bounds=[(0, 1), (0, 1)])
 
 
 def test_nonfinite_lower_bound_rejected():
     with pytest.raises(ValueError):
-        LpProblem("max", [1.0], [], bounds=[(-math.inf, 1.0)])
+        LpProblem("max", [1.0], [], [], [], bounds=[(-math.inf, 1.0)])
 
 
 def test_general_bounds_shifted_correctly():
     lp = LpProblem(
-        "min", [1.0, -1.0], [([1.0, 1.0], "<=", 5.0)],
+        "min", [1.0, -1.0], [[1.0, 1.0]], ["<="], [5.0],
         bounds=[(2.0, 4.0), (1.0, 3.0)],
     )
     sol = solve(lp)
@@ -103,8 +116,7 @@ def assert_matches_enumeration(lp):
 
 def test_zero_rhs_row_slack_at_optimum():
     # x0 + x1 = 1 with x0 - x1 >= 0; minimizing x1 leaves the row at 1 > 0.
-    lp = LpProblem("min", [0.0, 1.0],
-                   [([1.0, 1.0], "=", 1.0), ([1.0, -1.0], ">=", 0.0)])
+    lp = LpProblem("min", [0.0, 1.0], [[1.0, 1.0], [1.0, -1.0]], ["=", ">="], [1.0, 0.0])
     sol = assert_matches_enumeration(lp)
     assert sol.objective == pytest.approx(0.0, abs=FEAS_TOL)
     assert sol.values[0] - sol.values[1] == pytest.approx(1.0, abs=FEAS_TOL)
@@ -112,8 +124,7 @@ def test_zero_rhs_row_slack_at_optimum():
 
 def test_zero_rhs_row_binds_at_optimum():
     # Maximizing x1 pushes x0 - x1 >= 0 onto its bound: x0 = x1 = 1/2.
-    lp = LpProblem("max", [0.0, 1.0],
-                   [([1.0, 1.0], "=", 1.0), ([1.0, -1.0], ">=", 0.0)])
+    lp = LpProblem("max", [0.0, 1.0], [[1.0, 1.0], [1.0, -1.0]], ["=", ">="], [1.0, 0.0])
     sol = assert_matches_enumeration(lp)
     assert sol.objective == pytest.approx(0.5, abs=FEAS_TOL)
     assert sol.values[0] - sol.values[1] == pytest.approx(0.0, abs=FEAS_TOL)
@@ -124,7 +135,7 @@ def test_zero_rhs_row_infeasible_with_quota_equality():
     # x2 - x0 >= 0 then needs x2 >= 1, past x2's cap of 1/2.
     lp = LpProblem(
         "max", [0.0, 0.0, 1.0],
-        [([1.0, 1.0, 0.0], "=", 2.0), ([-1.0, 0.0, 1.0], ">=", 0.0)],
+        [[1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]], ["=", ">="], [2.0, 0.0],
         bounds=[(0.0, 1.0), (0.0, 1.0), (0.0, 0.5)],
     )
     assert_matches_enumeration(lp)
@@ -135,7 +146,7 @@ def test_lower_bound_shifts_rhs_to_zero():
     # x0 + x1 >= 3 with x0 >= 1 and x1 >= 2: the shifted rhs is exactly zero.
     for sense in ("min", "max"):
         lp = LpProblem(
-            sense, [2.0, 1.0], [([1.0, 1.0], ">=", 3.0), ([1.0, -1.0], "<=", 0.5)],
+            sense, [2.0, 1.0], [[1.0, 1.0], [1.0, -1.0]], [">=", "<="], [3.0, 0.5],
             bounds=[(1.0, 2.5), (2.0, 3.0)],
         )
         sol = assert_matches_enumeration(lp)
@@ -157,9 +168,8 @@ def test_zero_rhs_rows_need_no_phase_one(monkeypatch):
 
     monkeypatch.setattr(lp_mod, "_pivot_loop", counting)
     lp = LpProblem("max", [0.0, 0.0, 1.0, 1.0],
-                   [([1.0, 0.0, -1.0, 0.0], ">=", 0.0),
-                    ([0.0, 1.0, 0.0, -1.0], ">=", 0.0),
-                    ([1.0, 1.0, 0.0, 0.0], "<=", 1.0)])
+                   [[1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, -1.0], [1.0, 1.0, 0.0, 0.0]],
+                   [">=", ">=", "<="], [0.0, 0.0, 1.0])
     sol = solve(lp)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(1.0, abs=FEAS_TOL)
@@ -172,7 +182,7 @@ def test_phase_one_failure_is_typed(monkeypatch):
     import faircover.lp as lp_mod
 
     monkeypatch.setattr(lp_mod, "_pivot_loop", lambda *args: "unbounded")
-    lp = LpProblem("min", [1.0, 2.0], [([1.0, 1.0], "=", 1.0)])
+    lp = LpProblem("min", [1.0, 2.0], [[1.0, 1.0]], ["="], [1.0])
     with pytest.raises(NumericalFailure):
         solve(lp)
 
@@ -207,9 +217,9 @@ def test_ratio_tie_leaves_smallest_basic_index():
     # and the bound row x0 <= 1 (basic: its slack). Bland's rule drops the
     # slack, which leads to (1, 1, 1); leaving the first tied row or the
     # largest basic index would end at (0, 1, 0).
-    lp = LpProblem("max", [0.0, 1.0, 0.0], [([1.0, 1.0, -1.0], "=", 1.0)])
+    lp = LpProblem("max", [0.0, 1.0, 0.0], [[1.0, 1.0, -1.0]], ["="], [1.0])
     sol = assert_matches_enumeration(lp)
-    assert sol.values == (1.0, 1.0, 1.0)
+    assert sol.values.tolist() == [1.0, 1.0, 1.0]
     assert sol.objective == 1.0
 
 
@@ -221,23 +231,22 @@ def random_lp(rng):
     m = int(rng.integers(1, 9))
     sense = "max" if rng.random() < 0.5 else "min"
     objective = rng.integers(-4, 5, size=n).astype(float)
-    constraints = []
-    n_eq = 0
-    for _ in range(m):
-        row = rng.integers(-3, 4, size=n).astype(float)
+    A = np.empty((m, n))
+    relations = []
+    rhs = np.empty(m)
+    for r in range(m):
+        A[r] = rng.integers(-3, 4, size=n)
         roll = rng.random()
-        if roll < 0.15 and n_eq < min(2, n - 1):
-            rel = "="
-            n_eq += 1
+        if roll < 0.15 and relations.count("=") < min(2, n - 1):
+            relations.append("=")
         elif roll < 0.6:
-            rel = "<="
+            relations.append("<=")
         else:
-            rel = ">="
-        rhs = float(rng.integers(-2, 5))
-        constraints.append((row, rel, rhs))
+            relations.append(">=")
+        rhs[r] = rng.integers(-2, 5)
     hi = 1.0 if rng.random() < 0.7 else 3.0
     bounds = [(0.0, hi)] * n
-    return LpProblem(sense, objective, constraints, bounds)
+    return LpProblem(sense, objective, A, relations, rhs, bounds)
 
 
 def test_solver_matches_vertex_enumeration_on_random_boxes():
@@ -264,9 +273,9 @@ def test_reported_solutions_respect_constraints():
         sol = solve(lp)
         if sol.status != "optimal":
             continue
-        x = np.array(sol.values)
+        x = sol.values
         for row, rel, b in lp.constraints:
-            v = float(np.array(row) @ x)
+            v = float(row @ x)
             if rel == "=":
                 assert abs(v - b) <= 1e-6
             elif rel == "<=":
@@ -483,3 +492,40 @@ def test_solver_matches_highs_on_c01_relaxations():
                     infeasible += 1
     # Both outcomes must occur for the comparison to mean anything.
     assert optimal > 100 and infeasible > 20
+
+
+def test_sweep_retargets_one_relaxation_per_round():
+    # weighted_mkcc_round builds the relaxation once per round and only
+    # moves the target row's rhs: every problem it hands the solver must be
+    # byte-equal to a fresh build at that tau, for tau = 1, 2, ... in turn.
+    from faircover.model import mask_of
+    from faircover.unweighted import GreedyState
+    from faircover.weighted import eff_wfsc, weighted_mkcc_round
+
+    from support import replay_states
+
+    def arrays(lp):
+        return [(a.dtype, a.shape, a.tobytes()) for a in (lp.objective, lp.A, lp.rhs, lp.bounds)]
+
+    solved = 0
+    for sys_, spec in c01_instances():
+        per_round = spec.per_round
+        cover = eff_wfsc(sys_, spec, rng=0)
+        for uncovered, remaining, _ in replay_states(sys_, cover.rounds):
+            uncovered = sorted(uncovered)
+            taus = []
+
+            def check(problem):
+                tau = len(taus) + 1
+                want = build_weighted_mkcc_lp(sys_, remaining, uncovered, per_round, tau)
+                assert problem.sense == want.sense
+                assert problem.relations == want.relations
+                assert arrays(problem) == arrays(want), tau
+                taus.append(tau)
+                return solve(problem)
+
+            state = GreedyState(mask_of(uncovered, sys_.n), [list(g) for g in remaining])
+            weighted_mkcc_round(sys_, state, per_round, rng=0, lp_solver=check)
+            assert taus
+            solved += len(taus)
+    assert solved > 100

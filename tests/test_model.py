@@ -166,6 +166,14 @@ def test_cover_from_rounds_counts_and_weight():
     assert cover.covers_universe(sys_)
 
 
+def test_cover_ignores_element_ids_outside_the_universe():
+    # Element 7 lies outside [0, 6) and must not stand in for element 5.
+    sys_ = SetSystem(6, [[0, 1, 2, 3, 4, 7]], [0])
+    cover = Cover.from_selection(sys_, (0,))
+    assert not cover.covers_universe(sys_)
+    assert cover.covered_elements(sys_) == frozenset(range(5))
+
+
 def test_cover_rejects_duplicates_and_bad_ids():
     sys_ = make_square()
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Properties every algorithm keeps on random small instances: a complete,
 exactly fair cover or a typed FairCoverError, the same result for the same
-seed, and the proven size bounds against the exact oracle."""
+seed, the proven size bounds against the exact oracle, relaxations that
+bound the best integral round, and multicover prices that sum to the cover."""
 
 import math
 from fractions import Fraction
@@ -8,13 +9,20 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from faircover.errors import FairCoverError
+from faircover.errors import AllTuplesZeroCoverage, FairCoverError
 from faircover.generalized import gfsc, gfwsc
+from faircover.lp import build_mkcc_lp, build_weighted_mkcc_lp, solve
 from faircover.model import FairnessSpec, SetSystem, fairness_report
-from faircover.multicover import MulticoverInstance, fair_multicover_greedy
-from faircover.oracles import opt_fair_cover
+from faircover.multicover import (
+    MulticoverInstance,
+    audit_price_identity,
+    fair_multicover_greedy,
+)
+from faircover.oracles import opt_fair_cover, opt_mkcc
 from faircover.unweighted import eff_fsc, greedy_allpick, greedy_set_cover, naive_fsc
 from faircover.weighted import eff_wfsc, greedy_weighted_allpick, naive_wfsc
+
+from support import lightest_tuple_weight
 
 
 @st.composite
@@ -107,3 +115,48 @@ def test_quota_greedies_stay_within_their_log_bounds(case):
     greedy = _outcome(lambda s, spec, seed: eff_fsc(s, spec, "greedy"), system, spec, 0)
     if not isinstance(greedy, type):
         assert greedy.size <= 2 * bound * opt.size
+
+
+@settings(max_examples=40, deadline=None)
+@given(instances(), st.data())
+def test_relaxations_bound_the_best_integral_round(case, data):
+    # A random round state: some uncovered elements, and at least the quota
+    # of each color still available. The coverage relaxation's optimum is at
+    # least the best tuple's coverage; at each target tau the weighted
+    # relaxation costs at most the lightest tuple covering tau elements.
+    system, spec, _ = case
+    per_round = spec.per_round
+    targets = sorted(data.draw(st.sets(st.integers(0, system.n - 1), min_size=1)))
+    remaining = [
+        sorted(data.draw(st.sets(st.sampled_from(g), min_size=min(p, len(g)))))
+        for g, p in zip(system.sets_by_color, per_round)
+    ]
+    if any(len(r) < p for r, p in zip(remaining, per_round)):
+        return
+    sol = solve(build_mkcc_lp(system, remaining, targets, per_round))
+    assert sol.status == "optimal"
+    try:
+        _, best = opt_mkcc(system, targets, remaining, per_round)
+    except AllTuplesZeroCoverage:
+        best = 0.0
+    assert sol.objective >= best - 1e-9
+    for tau in range(1, len(targets) + 1):
+        lightest = lightest_tuple_weight(system, targets, remaining, per_round, tau)
+        if lightest is None:
+            break
+        sol = solve(build_weighted_mkcc_lp(system, remaining, targets, per_round, tau))
+        assert sol.status == "optimal", tau
+        assert sol.objective <= lightest + 1e-9 * (1.0 + lightest), tau
+
+
+@settings(max_examples=40, deadline=None)
+@given(instances())
+def test_multicover_prices_sum_to_the_cover(case):
+    system, spec, seed = case
+    inst = MulticoverInstance(system, _requirements(system))
+    for mode in ("exhaustive", "mkcc_sub"):
+        try:
+            cover, ledger = fair_multicover_greedy(inst, spec, mode=mode, rng=seed)
+        except FairCoverError:
+            continue
+        assert audit_price_identity(cover, ledger, spec).ok, mode
