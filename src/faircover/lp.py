@@ -15,6 +15,17 @@ optimal point as a read-only float64 array. Every simplex pivot, phase
 one's drive-out of artificials included, goes through one tableau-update
 step (_pivot).
 
+solve() has two halves that every path shares: _optimize builds a
+problem's tableau and runs the two phases, and _read turns an optimal
+tableau into a checked LpSolution. Problems made with LpProblem.sibling
+share one private warm-start record. When solve() gets the sibling whose
+last-row rhs is one above that of the sibling it solved last, it re-solves
+from that sibling's phase-two tableau with dual-simplex pivots (Lemke)
+instead of from scratch; this is how the eff_wfsc target sweep re-solves
+tau + 1 after tau. Any other problem is solved cold. A warm answer has the
+cold answer's status and objective, but on a degenerate optimum it may be
+another optimal vertex.
+
 Anything implementing solve(problem) -> LpSolution with the same statuses
 can be swapped in through the lp_solver arguments downstream; its values
 may be any sequence of floats laid out like the problem's variables.
@@ -54,6 +65,8 @@ class LpProblem:
     such as []. constraints gives the rows back as (row, relation, rhs)
     triples.
     """
+
+    _warm: _WarmStart | None  # shared by siblings, see sibling()
 
     sense: str
     objective: np.ndarray  # (nvar,)
@@ -111,6 +124,18 @@ class LpProblem:
         self.relations = rels
         self.rhs = b
         self.bounds = bnds
+        self._warm = None
+
+    def sibling(self, rhs: Sequence[float]) -> LpProblem:
+        """This problem with new right-hand sides. The sibling shares the
+        sense, relations, objective, A and bounds, and one warm-start record
+        with this problem and all its other siblings, so solve() can resume
+        the next last-row target from the tableau of the previous one."""
+        if self._warm is None:
+            self._warm = _WarmStart()
+        twin = LpProblem(self.sense, self.objective, self.A, self.relations, rhs, self.bounds)
+        twin._warm = self._warm
+        return twin
 
     @property
     def num_vars(self) -> int:
@@ -189,8 +214,117 @@ def _pivot_loop(T: np.ndarray, basis: np.ndarray, cost: np.ndarray, budget: int)
     raise NumericalFailure(f"pivot budget {budget} exhausted")
 
 
+@dataclass
+class _Tableau:
+    """A phase-two simplex tableau: T with the rhs in its last column, the
+    basic column of each row, the phase-two costs, the pivot budget, and
+    the surplus column of the problem's last row (-1 when it has none)."""
+
+    T: np.ndarray
+    basis: np.ndarray
+    cost: np.ndarray
+    budget: int
+    surplus: int
+
+
+class _WarmStart:
+    """The optimal tableau of the sibling solve() finished last, and that
+    sibling's rhs (None when there is nothing to resume)."""
+
+    __slots__ = ("rhs", "tableau")
+
+    def __init__(self):
+        self.rhs: np.ndarray | None = None
+        self.tableau: _Tableau | None = None
+
+    def follows(self, rhs: np.ndarray) -> bool:
+        """True when rhs is the resumable sibling's rhs with the last row
+        raised by exactly one."""
+        prev = self.rhs
+        return (
+            prev is not None
+            and prev.shape == rhs.shape
+            and rhs[-1] == prev[-1] + 1.0
+            and np.array_equal(rhs[:-1], prev[:-1])
+        )
+
+
+def _dual_pivot_loop(T: np.ndarray, basis: np.ndarray, cost: np.ndarray, budget: int) -> str:
+    """Run dual-simplex pivots (Lemke 1954) on a tableau whose reduced
+    costs are optimal but whose rhs has gone negative, in place, until the
+    rhs is nonnegative again.
+
+    The leaving row is the negative-rhs row with the smallest basic index;
+    the entering column is the nonbasic one with a negative entry in that
+    row and the least reduced / |entry|, ties to the smallest index.
+    Returns 'optimal' once the rhs is feasible again, or 'infeasible' when
+    a negative row has no negative entry to pivot on. Reduced costs are
+    recomputed from cost on every pivot, as in _pivot_loop.
+    """
+    ncols = T.shape[1] - 1
+    nonbasic = np.ones(ncols, dtype=bool)
+    nonbasic[basis] = False
+    for _ in range(budget):
+        short = (T[:, ncols] < -_PIVOT_TOL).nonzero()[0]
+        if short.size == 0:
+            return "optimal"
+        leave = int(short[basis[short].argmin()])
+        row = T[leave, :ncols]
+        cols = ((row < -_PIVOT_TOL) & nonbasic).nonzero()[0]
+        if cols.size == 0:
+            return "infeasible"
+        ratios = (cost[cols] - cost[basis] @ T[:, cols]) / -row[cols]
+        enter = int(cols[(ratios <= ratios.min() + _PIVOT_TOL).argmax()])
+        _pivot(T, leave, enter)
+        nonbasic[basis[leave]] = True
+        nonbasic[enter] = False
+        basis[leave] = enter
+    raise NumericalFailure(f"dual pivot budget {budget} exhausted")
+
+
 def solve(problem: LpProblem) -> LpSolution:
-    """Two-phase simplex over the given problem, read from its arrays.
+    """Two-phase simplex over the given problem, read from its arrays, or
+    a dual-simplex resume when problem is the next target of a sibling
+    family (see LpProblem.sibling).
+
+    Cold: _optimize builds the tableau and runs both phases. Warm: the
+    record holds the phase-two tableau of the sibling solved last, whose
+    last row is a ">=" row with surplus column s. Since B^-1 e_last = -T[:, s],
+    raising that row's rhs by one is T[:, rhs] -= T[:, s]; dual-simplex
+    pivots then restore a nonnegative rhs (or prove the target infeasible),
+    and one primal pass cleans up reduced costs left just inside the
+    pivoting tolerance. Either way _read checks the residuals and
+    recomputes the objective from the original coefficients.
+    """
+    if problem.num_vars == 0:
+        return LpSolution("optimal", _NO_VALUES, 0.0)
+    warm = problem._warm
+    tab = None
+    if warm is not None:
+        # The record is spent however this solve ends; a finished solve
+        # refills it.
+        if warm.follows(problem.rhs):
+            tab = warm.tableau
+        warm.rhs = warm.tableau = None
+    if tab is not None:
+        tab.T[:, -1] -= tab.T[:, tab.surplus]
+        status = _dual_pivot_loop(tab.T, tab.basis, tab.cost, tab.budget)
+        if status == "optimal":
+            status = _pivot_loop(tab.T, tab.basis, tab.cost, tab.budget)
+    else:
+        status, tab = _optimize(problem)
+    if status == "infeasible":
+        return _INFEASIBLE
+    if status == "unbounded":
+        return _UNBOUNDED
+    sol = _read(problem, tab)
+    if warm is not None and tab.surplus >= 0:
+        warm.rhs, warm.tableau = problem.rhs, tab
+    return sol
+
+
+def _optimize(problem: LpProblem) -> tuple[str, _Tableau | None]:
+    """Build problem's tableau and run the two phases from scratch.
 
     Lower bounds are shifted to zero and finite upper bounds become
     explicit rows. Rows are then negated so every rhs is nonnegative, and
@@ -198,16 +332,13 @@ def solve(problem: LpProblem) -> LpSolution:
     starts from its slack. Phase one runs only when "=" rows or ">=" rows
     with a positive rhs remain; each of those gets an artificial, and the
     artificials still basic at zero are pivoted out with the same step as
-    every other pivot. The reported objective is recomputed from the
-    original coefficients so tableau drift never leaks into comparisons.
+    every other pivot. Returns the status and, unless infeasible, the
+    phase-two tableau.
     """
     nvar = problem.num_vars
-    if nvar == 0:
-        return LpSolution("optimal", _NO_VALUES, 0.0)
     lo = problem.bounds[:, 0]
     hi = problem.bounds[:, 1]
-    c_orig = problem.objective
-    c = c_orig if problem.sense == "min" else -c_orig
+    c = problem.objective if problem.sense == "min" else -problem.objective
 
     # hi == lo pins the shifted variable at zero; the bound row x' <= 0
     # would be redundant with nonnegativity, so skip it.
@@ -241,6 +372,9 @@ def solve(problem: LpProblem) -> LpSolution:
     T[surplus_rows, nvar + slack_rows.size + np.arange(surplus_rows.size)] = -1.0
     basis[art_rows] = first_art + np.arange(art_rows.size)
     T[art_rows, basis[art_rows]] = 1.0
+    # Bound rows are "<=" rows with a positive rhs, so a ">=" last row of
+    # the problem owns the last surplus column.
+    surplus = first_art - 1 if m_in and ge[m_in - 1] else -1
 
     budget = 50 * (ncols + m)
 
@@ -254,7 +388,7 @@ def solve(problem: LpProblem) -> LpSolution:
             raise NumericalFailure(f"phase one came back {status}")
         scale = max(1.0, float(b.max()))
         if cost1[basis] @ T[:, ncols] > 1e-8 * scale:
-            return _INFEASIBLE
+            return "infeasible", None
         # Pivot leftover zero-valued artificials out of the basis when possible.
         for i in np.flatnonzero(basis >= first_art):
             options = np.flatnonzero(np.abs(T[i, :first_art]) > _PIVOT_TOL)
@@ -270,15 +404,20 @@ def solve(problem: LpProblem) -> LpSolution:
     cost2 = np.zeros(ncols)
     cost2[:nvar] = c
     status = _pivot_loop(T, basis, cost2, budget)
-    if status == "unbounded":
-        return _UNBOUNDED
+    return status, _Tableau(T, basis, cost2, budget, surplus)
 
-    x_shift = np.zeros(ncols)
-    x_shift[basis] = T[:, ncols]
-    x = lo + x_shift[:nvar]
+
+def _read(problem: LpProblem, tab: _Tableau) -> LpSolution:
+    """The optimal point of tab in problem's variables. Every row's
+    residual is checked, and the objective is recomputed from the original
+    coefficients so tableau drift never leaks into comparisons."""
+    T = tab.T
+    x_shift = np.zeros(T.shape[1] - 1)
+    x_shift[tab.basis] = T[:, -1]
+    x = problem.bounds[:, 0] + x_shift[: problem.num_vars]
 
     resid = problem.A @ x - problem.rhs
-    rel = rels[:m_in]
+    rel = np.array(problem.relations, dtype="<U2")
     violated = np.flatnonzero(
         ((rel == "=") & (np.abs(resid) > 1e-6))
         | ((rel == "<=") & (resid > 1e-6))
@@ -290,7 +429,7 @@ def solve(problem: LpProblem) -> LpSolution:
             f"constraint {idx} residual {resid[idx]:.3e} after optimal pivot"
         )
     x.flags.writeable = False
-    return LpSolution("optimal", x, float(c_orig @ x))
+    return LpSolution("optimal", x, float(problem.objective @ x))
 
 
 def lp_variable_order(

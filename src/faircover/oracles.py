@@ -9,7 +9,8 @@ TUPLE_BUDGET.
 
 from __future__ import annotations
 
-from itertools import combinations
+import math
+from itertools import accumulate, combinations
 from typing import Sequence
 
 from .errors import AllTuplesZeroCoverage, BudgetExceeded
@@ -63,15 +64,32 @@ def opt_fair_cover(
     Unweighted: minimum cardinality (fair covers only come in multiples of
     spec.p sets, so the scan walks t = 1, 2, ... rounds and stops at the
     first t admitting a cover). Weighted: minimum total weight over all
-    feasible t, since more but lighter sets can beat a small cover.
+    feasible t, since more but lighter sets can beat a small cover. When
+    every weight is positive and finite, the scan stops at the first t
+    whose lower bound (the t * p_h lightest sets of each color h) exceeds
+    the best weight by more than a relative 1e-9; that margin keeps the
+    (weight, size, selection) tie-break intact under any summation order.
     """
     mu = system.num_sets
     if mu > MAX_SETS_EXACT:
         raise BudgetExceeded(f"{mu} sets exceeds exact budget {MAX_SETS_EXACT}")
     full = (1 << system.n) - 1
     best: tuple | None = None  # (weight, size, selection) for weighted mode
+    # lightest[h][c]: the weight of the c lightest sets of color h. The
+    # bound grows with t only when every weight is positive (NaN fails
+    # the test too), so other weights scan every t.
+    lightest = None
+    if weighted and all(0.0 < system.weight(i) < math.inf for i in range(mu)):
+        lightest = [
+            list(accumulate(sorted(system.weight(i) for i in g), initial=0.0))
+            for g in system.sets_by_color
+        ]
 
     for t in _fair_sizes(system, spec):
+        if lightest is not None and best is not None:
+            bound = sum(lightest[h][t * p] for h, p in enumerate(spec.per_round) if p > 0)
+            if bound > best[0] * (1 + 1e-9):
+                break
         found: tuple[int, ...] | None = None
         counts = [t * p for p in spec.per_round]
         for sel, acc in _quota_tuples(system.masks, system.sets_by_color, counts):

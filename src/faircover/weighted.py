@@ -24,7 +24,7 @@ from .errors import (
     NumericalFailure,
     ResampleCapExceeded,
 )
-from .lp import LpProblem, LpSolver, build_weighted_mkcc_lp, color_sampling_probs
+from .lp import LpSolver, build_weighted_mkcc_lp, color_sampling_probs
 from .lp import lp_variable_order, solve
 from .model import Cover, FairnessSpec, SetSystem, elements_of
 from .unweighted import (
@@ -113,10 +113,14 @@ def weighted_mkcc_round(
     For each tau = 1 .. |uncovered|: solve the weight-minimizing relaxation
     pinned to cover at least tau, then rejection-sample quota tuples from
     the fractional masses until one newly covers accept_threshold(tau)
-    elements. The relaxation is built once per round; each target only
-    sets the rhs of its last row. Targets whose relaxation is infeasible
-    end the sweep (larger targets only get harder). Ties on the ratio
-    prefer the smallest target.
+    elements. The relaxation is built once per round, and each target is
+    a sibling of it (LpProblem.sibling) that only sets the rhs of its last
+    row. lp_solver is called once per target, in order; the default solve
+    resumes each target from the previous target's tableau with dual
+    simplex, so on a degenerate relaxation it may return another optimal
+    vertex than a cold solve. Targets whose relaxation is infeasible end
+    the sweep (larger targets only get harder). Ties on the ratio prefer
+    the smallest target.
 
     Raises AllTauInfeasible when no target is feasible and
     ResampleCapExceeded when a target's sampler exhausts resample_cap(n)
@@ -135,7 +139,7 @@ def weighted_mkcc_round(
     for tau in range(1, len(uncovered) + 1):
         rhs = lp.rhs.copy()
         rhs[-1] = tau
-        sol = lp_solver(LpProblem(lp.sense, lp.objective, lp.A, lp.relations, rhs))
+        sol = lp_solver(lp.sibling(rhs))
         if sol.status == "infeasible":
             break
         if sol.status != "optimal":

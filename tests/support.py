@@ -211,3 +211,36 @@ def c01_instance(idx: int):
         seed=idx,
     )
     return sys_, count_parity(2)
+
+
+def warm_and_cold_sweep(system: SetSystem, remaining, targets, per_round):
+    """Solve the weighted relaxation at tau = 1, 2, ... twice: in order on
+    siblings of the tau = 1 problem, which solve() resumes from the
+    previous target, and cold on a fresh build per tau. Returns the
+    (tau, warm, cold) triples up to the first tau either calls infeasible."""
+    from faircover.lp import build_weighted_mkcc_lp, solve
+
+    first = build_weighted_mkcc_lp(system, remaining, targets, per_round, 1)
+    out = []
+    for tau in range(1, len(targets) + 1):
+        rhs = first.rhs.copy()
+        rhs[-1] = tau
+        warm = solve(first.sibling(rhs))
+        cold = solve(build_weighted_mkcc_lp(system, remaining, targets, per_round, tau))
+        out.append((tau, warm, cold))
+        if "infeasible" in (warm.status, cold.status):
+            break
+    return out
+
+
+def assert_sweeps_agree(triples):
+    """Every target has the same status warm and cold, so the sweeps end at
+    the same tau, and the optimal objectives agree within OBJ_RTOL."""
+    from faircover.lp import OBJ_RTOL
+
+    for tau, warm, cold in triples:
+        assert warm.status == cold.status, (tau, warm.status, cold.status)
+        if cold.status == "optimal":
+            gap = abs(warm.objective - cold.objective)
+            assert gap <= OBJ_RTOL * max(1.0, abs(cold.objective)), (
+                tau, warm.objective, cold.objective)

@@ -12,6 +12,7 @@ import json
 import sys
 from pathlib import Path
 
+from faircover import lp
 from faircover.generalized import gfsc
 from faircover.multicover import MulticoverInstance, fair_multicover_greedy
 from faircover.unweighted import eff_fsc, greedy_allpick, naive_fsc
@@ -52,6 +53,16 @@ def test_covers_match_golden_corpus():
         if recorded[str(idx)][name] != rounds
     ]
     assert not moved, f"{len(moved)} covers moved from the corpus: {moved}"
+
+
+def test_wrapped_default_solver_gives_the_default_covers():
+    # A wrapper that calls lp.solve (as perfbench's traced pass does) sees
+    # the same problems in the same order, so solve() warm-starts the same
+    # targets and every eff_wfsc cover equals the default path's.
+    for idx in INSTANCES:
+        sys_, spec = c01_instance(idx)
+        wrapped = eff_wfsc(sys_, spec, rng=idx, lp_solver=lambda p: lp.solve(p))
+        assert wrapped.rounds == eff_wfsc(sys_, spec, rng=idx).rounds, idx
 
 
 if __name__ == "__main__":

@@ -529,3 +529,116 @@ def test_sweep_retargets_one_relaxation_per_round():
             assert taus
             solved += len(taus)
     assert solved > 100
+
+
+# ----------------------------------------------- warm-started target sweep
+
+
+def count_cold_solves(monkeypatch):
+    """Patch lp._optimize to count the solves that start from scratch."""
+    import faircover.lp as lp_mod
+
+    calls = []
+    real = lp_mod._optimize
+
+    def counting(problem):
+        calls.append(problem.rhs[-1])
+        return real(problem)
+
+    monkeypatch.setattr(lp_mod, "_optimize", counting)
+    return calls
+
+
+def test_warm_sweep_matches_cold_solves_on_c01_states(monkeypatch):
+    # On every eff_wfsc round state of the c01 sample, each target solved
+    # warm (in order, on siblings of tau = 1) has the cold solve's status
+    # and objective, so the sweep ends at the same tau. Only tau = 1 of a
+    # warm sweep starts from scratch.
+    from faircover.weighted import eff_wfsc
+
+    from support import assert_sweeps_agree, replay_states, warm_and_cold_sweep
+
+    solved = cutoffs = 0
+    for sys_, spec in c01_instances():
+        per_round = spec.per_round
+        cover = eff_wfsc(sys_, spec, rng=0)
+        for uncovered, remaining, _ in replay_states(sys_, cover.rounds):
+            if any(len(remaining[h]) < p for h, p in enumerate(per_round)):
+                continue
+            cold = count_cold_solves(monkeypatch)
+            triples = warm_and_cold_sweep(sys_, remaining, sorted(uncovered), per_round)
+            monkeypatch.undo()
+            assert_sweeps_agree(triples)
+            # One cold start for the warm sweep, one per tau for the cold one.
+            assert len(cold) == len(triples) + 1
+            solved += len(triples)
+            cutoffs += triples[-1][1].status == "infeasible"
+    # Both ends of a sweep must occur for the comparison to mean anything.
+    assert solved > 100 and cutoffs > 10
+
+
+def test_dual_pivot_budget_exhaustion_is_typed(monkeypatch):
+    # x0 + x1 >= 1 as -x0 - x1 + s = -1 with s basic: one dual pivot (x0
+    # enters, its ratio 1/1 beats x1's 2/1) and a pass to see the rhs is
+    # feasible. A budget of one pass fails loudly, two finish.
+    import faircover.lp as lp_mod
+
+    def tableau():
+        return np.array([[-1.0, -1.0, 1.0, -1.0]]), np.array([2], dtype=np.intp)
+
+    cost = np.array([1.0, 2.0, 0.0])
+    T, basis = tableau()
+    with pytest.raises(NumericalFailure):
+        lp_mod._dual_pivot_loop(T, basis, cost, 1)
+    T, basis = tableau()
+    assert lp_mod._dual_pivot_loop(T, basis, cost, 2) == "optimal"
+    assert basis.tolist() == [0] and T.tolist() == [[1.0, 1.0, -1.0, 1.0]]
+    # A negative row without a negative entry proves the target infeasible.
+    T = np.array([[1.0, 1.0, 1.0, -1.0]])
+    assert lp_mod._dual_pivot_loop(T, np.array([2], dtype=np.intp), cost, 2) == "infeasible"
+
+    # Through solve(): a warm target whose dual loop runs out of budget
+    # raises instead of falling back to a cold solve.
+    real = lp_mod._dual_pivot_loop
+    monkeypatch.setattr(lp_mod, "_dual_pivot_loop", lambda T, b, c, budget: real(T, b, c, 0))
+    sys_ = square_system()
+    first = build_weighted_mkcc_lp(sys_, [[0, 1], [2, 3]], range(6), [1, 1], 1)
+    assert solve(first.sibling(first.rhs)).status == "optimal"
+    rhs = first.rhs.copy()
+    rhs[-1] = 2
+    with pytest.raises(NumericalFailure):
+        solve(first.sibling(rhs))
+    # The failed resume spent the record, so a retry solves cold.
+    monkeypatch.undo()
+    retry = solve(first.sibling(rhs))
+    cold = solve(build_weighted_mkcc_lp(sys_, [[0, 1], [2, 3]], range(6), [1, 1], 2))
+    assert retry.values.tobytes() == cold.values.tobytes()
+
+
+def test_out_of_order_or_repeated_target_solves_cold(monkeypatch):
+    # solve() resumes only the next target of the sibling it solved last;
+    # a repeated, skipped or lowered target gets exactly the cold answer.
+    sys_, spec = c01_instance(2)
+    per_round = spec.per_round
+    remaining = sys_.sets_by_color
+    targets = range(sys_.n)
+    first = build_weighted_mkcc_lp(sys_, remaining, targets, per_round, 1)
+
+    def at(tau):
+        rhs = first.rhs.copy()
+        rhs[-1] = tau
+        return first.sibling(rhs)
+
+    cold_starts = count_cold_solves(monkeypatch)
+    steps = [(1, False), (2, True), (3, True), (3, False), (5, False), (2, False), (3, True)]
+    for tau, resumed in steps:
+        before = len(cold_starts)
+        warm = solve(at(tau))
+        assert (len(cold_starts) == before) == resumed, tau
+        cold = solve(build_weighted_mkcc_lp(sys_, remaining, targets, per_round, tau))
+        assert warm.status == cold.status == "optimal"
+        if resumed:
+            assert objective_close(warm.objective, cold.objective), tau
+        else:
+            assert warm.values.tobytes() == cold.values.tobytes(), tau
+            assert warm.objective == cold.objective, tau

@@ -1,5 +1,7 @@
 """Exhaustive reference solvers: hand-checkable examples plus budget walls."""
 
+import math
+
 import pytest
 
 from faircover.errors import BudgetExceeded
@@ -90,6 +92,40 @@ def test_opt_fair_cover_weighted_can_prefer_more_sets():
     assert light.total_weight == pytest.approx(4.0)
     small = opt_fair_cover(sys_, count_parity(2), weighted=False)
     assert small.size == 2
+
+
+def scanned_round_counts(monkeypatch, sys_, spec):
+    """The per-color counts of every round count t the weighted oracle
+    enumerates, and its cover."""
+    import faircover.oracles as oracles
+
+    seen = []
+    real = oracles._quota_tuples
+
+    def counting(masks, pools, counts):
+        seen.append(tuple(counts))
+        return real(masks, pools, counts)
+
+    monkeypatch.setattr(oracles, "_quota_tuples", counting)
+    return seen, opt_fair_cover(sys_, spec, weighted=True)
+
+
+@pytest.mark.parametrize(
+    "weight, selected",
+    [(1.0, (0, 2)), (0.0, (1, 2)), (-1.0, (1, 2)), (math.nan, None)],
+)
+def test_weighted_oracle_stops_at_its_bound_only_on_positive_weights(
+    monkeypatch, weight, selected
+):
+    # One round of a pair covers everything at weight at most 2, and two
+    # rounds take all four sets. With positive weights the two-round bound
+    # (1 + weight + 1 + 1 > 2) ends the scan after t = 1; a zero, negative
+    # or NaN weight keeps the scan going over every t.
+    sys_ = SetSystem(2, [[0, 1], [0], [0, 1], [1]], [0, 0, 1, 1], [1.0, weight, 1.0, 1.0])
+    seen, cover = scanned_round_counts(monkeypatch, sys_, count_parity(2))
+    assert seen == ([(1, 1)] if weight > 0 else [(1, 1), (2, 2)])
+    if selected is not None:
+        assert cover.selected == selected
 
 
 def test_opt_fair_cover_respects_uneven_fractions():

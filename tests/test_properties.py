@@ -22,7 +22,7 @@ from faircover.oracles import opt_fair_cover, opt_mkcc
 from faircover.unweighted import eff_fsc, greedy_allpick, greedy_set_cover, naive_fsc
 from faircover.weighted import eff_wfsc, greedy_weighted_allpick, naive_wfsc
 
-from support import lightest_tuple_weight
+from support import assert_sweeps_agree, lightest_tuple_weight, warm_and_cold_sweep
 
 
 @st.composite
@@ -117,6 +117,20 @@ def test_quota_greedies_stay_within_their_log_bounds(case):
         assert greedy.size <= 2 * bound * opt.size
 
 
+def _round_state(system, per_round, data):
+    """A random round state: some uncovered elements (ascending) and the
+    remaining sets of each color, or None when a color is short of its
+    quota."""
+    targets = sorted(data.draw(st.sets(st.integers(0, system.n - 1), min_size=1)))
+    remaining = [
+        sorted(data.draw(st.sets(st.sampled_from(g), min_size=min(p, len(g)))))
+        for g, p in zip(system.sets_by_color, per_round)
+    ]
+    if any(len(r) < p for r, p in zip(remaining, per_round)):
+        return None
+    return targets, remaining
+
+
 @settings(max_examples=40, deadline=None)
 @given(instances(), st.data())
 def test_relaxations_bound_the_best_integral_round(case, data):
@@ -126,13 +140,10 @@ def test_relaxations_bound_the_best_integral_round(case, data):
     # relaxation costs at most the lightest tuple covering tau elements.
     system, spec, _ = case
     per_round = spec.per_round
-    targets = sorted(data.draw(st.sets(st.integers(0, system.n - 1), min_size=1)))
-    remaining = [
-        sorted(data.draw(st.sets(st.sampled_from(g), min_size=min(p, len(g)))))
-        for g, p in zip(system.sets_by_color, per_round)
-    ]
-    if any(len(r) < p for r, p in zip(remaining, per_round)):
+    state = _round_state(system, per_round, data)
+    if state is None:
         return
+    targets, remaining = state
     sol = solve(build_mkcc_lp(system, remaining, targets, per_round))
     assert sol.status == "optimal"
     try:
@@ -147,6 +158,20 @@ def test_relaxations_bound_the_best_integral_round(case, data):
         sol = solve(build_weighted_mkcc_lp(system, remaining, targets, per_round, tau))
         assert sol.status == "optimal", tau
         assert sol.objective <= lightest + 1e-9 * (1.0 + lightest), tau
+
+
+@settings(max_examples=40, deadline=None)
+@given(instances(), st.data())
+def test_warm_target_sweep_matches_cold_solves(case, data):
+    # On a random round state, solving tau = 1, 2, ... warm gives every
+    # target the cold solve's status and objective.
+    system, spec, _ = case
+    per_round = spec.per_round
+    state = _round_state(system, per_round, data)
+    if state is None:
+        return
+    targets, remaining = state
+    assert_sweeps_agree(warm_and_cold_sweep(system, remaining, targets, per_round))
 
 
 @settings(max_examples=40, deadline=None)
