@@ -21,7 +21,8 @@ tableau into a checked LpSolution. Problems made with LpProblem.sibling
 share one private warm-start record. When solve() gets the sibling whose
 last-row rhs is one above that of the sibling it solved last, it re-solves
 from that sibling's phase-two tableau with dual-simplex pivots (Lemke)
-instead of from scratch; this is how the eff_wfsc target sweep re-solves
+instead of from scratch, provided that last row was given as ">=" with a
+positive shifted rhs; this is how the eff_wfsc target sweep re-solves
 tau + 1 after tau. Any other problem is solved cold. A warm answer has the
 cold answer's status and objective, but on a degenerate optimum it may be
 another optimal vertex.
@@ -288,8 +289,10 @@ def solve(problem: LpProblem) -> LpSolution:
     family (see LpProblem.sibling).
 
     Cold: _optimize builds the tableau and runs both phases. Warm: the
-    record holds the phase-two tableau of the sibling solved last, whose
-    last row is a ">=" row with surplus column s. Since B^-1 e_last = -T[:, s],
+    record holds the phase-two tableau of the sibling solved last, kept
+    only when its last row was given as ">=", stayed unflipped (its
+    shifted rhs was positive) and survived phase one; s is that row's
+    surplus column. Since B^-1 e_last = -T[:, s],
     raising that row's rhs by one is T[:, rhs] -= T[:, s]; dual-simplex
     pivots then restore a nonnegative rhs (or prove the target infeasible),
     and one primal pass cleans up reduced costs left just inside the
@@ -340,9 +343,9 @@ def _optimize(problem: LpProblem) -> tuple[str, _Tableau | None]:
     hi = problem.bounds[:, 1]
     c = problem.objective if problem.sense == "min" else -problem.objective
 
-    # hi == lo pins the shifted variable at zero; the bound row x' <= 0
-    # would be redundant with nonnegativity, so skip it.
-    capped = np.flatnonzero(np.isfinite(hi) & (hi > lo))
+    # Every finite upper bound gets a row, hi == lo included: its row
+    # x' <= 0 is what pins the shifted variable at zero.
+    capped = np.flatnonzero(np.isfinite(hi))
     m_in = len(problem.relations)
     m = m_in + capped.size
     b = np.concatenate((problem.rhs - problem.A @ lo, hi[capped] - lo[capped]))
@@ -372,9 +375,12 @@ def _optimize(problem: LpProblem) -> tuple[str, _Tableau | None]:
     T[surplus_rows, nvar + slack_rows.size + np.arange(surplus_rows.size)] = -1.0
     basis[art_rows] = first_art + np.arange(art_rows.size)
     T[art_rows, basis[art_rows]] = 1.0
-    # Bound rows are "<=" rows with a positive rhs, so a ">=" last row of
-    # the problem owns the last surplus column.
-    surplus = first_art - 1 if m_in and ge[m_in - 1] else -1
+    # Bound rows are "<=" rows with a nonnegative rhs, so a ">=" last row of
+    # the problem owns the last surplus column. Only a row given as ">="
+    # and left unflipped can be resumed: raising the rhs of a flipped row
+    # lowers its tableau rhs instead.
+    resumable = m_in and problem.relations[-1] == ">=" and not flip[m_in - 1]
+    surplus = first_art - 1 if resumable else -1
 
     budget = 50 * (ncols + m)
 
@@ -396,7 +402,10 @@ def _optimize(problem: LpProblem) -> tuple[str, _Tableau | None]:
                 _pivot(T, i, options[0])
                 basis[i] = options[0]
         # Drop the artificial columns and the rows whose artificial stayed.
+        # B^-1 e_last = -T[:, surplus] needs the last row kept.
         keep = basis < first_art
+        if surplus >= 0 and not keep[m_in - 1]:
+            surplus = -1
         T = T[np.ix_(keep, np.r_[:first_art, ncols])]
         basis = basis[keep]
         ncols = first_art

@@ -100,6 +100,13 @@ def test_general_bounds_shifted_correctly():
     assert objective_close(sol.objective, val)
 
 
+def test_equal_bounds_pin_the_variable():
+    # hi == lo fixes the variable: maximizing it must not run off upward.
+    lp = LpProblem("max", [1.0, 1.0], [[0.0, 1.0]], ["<="], [1.0], bounds=[(1.0, 1.0), (0.0, 2.0)])
+    sol = assert_matches_enumeration(lp)
+    assert sol.status == "optimal" and sol.values.tolist() == [1.0, 1.0]
+
+
 # ------------------------------------------------- zero-rhs ">=" row path
 # solve() negates ">=" rows with a zero (shifted) rhs into "<=" rows so their
 # slack starts basic. These cases pin that path against vertex enumeration.
@@ -613,6 +620,20 @@ def test_dual_pivot_budget_exhaustion_is_typed(monkeypatch):
     retry = solve(first.sibling(rhs))
     cold = solve(build_weighted_mkcc_lp(sys_, [[0, 1], [2, 3]], range(6), [1, 1], 2))
     assert retry.values.tobytes() == cold.values.tobytes()
+
+
+def test_flipped_last_row_is_not_resumed(monkeypatch):
+    # -x <= -0.5 is solved as x >= 0.5: raising the given rhs to 0.5 lowers
+    # the flipped row's rhs, so a resume from the first tableau would solve
+    # x >= 1.5 instead. The second target must get the cold answer.
+    first = LpProblem("min", [1.0], [[-1.0]], ["<="], [-0.5])
+    cold_starts = count_cold_solves(monkeypatch)
+    assert solve(first.sibling([-0.5])).values.tolist() == [0.5]
+    raised = solve(first.sibling([0.5]))
+    assert len(cold_starts) == 2
+    cold = solve(LpProblem("min", [1.0], [[-1.0]], ["<="], [0.5]))
+    assert raised.status == cold.status == "optimal"
+    assert raised.values.tolist() == cold.values.tolist() == [0.0]
 
 
 def test_out_of_order_or_repeated_target_solves_cold(monkeypatch):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from faircover.errors import AllTuplesZeroCoverage, FairCoverError
 from faircover.generalized import gfsc, gfwsc
-from faircover.lp import build_mkcc_lp, build_weighted_mkcc_lp, solve
+from faircover.lp import LpProblem, build_mkcc_lp, build_weighted_mkcc_lp, solve
 from faircover.model import FairnessSpec, SetSystem, fairness_report
 from faircover.multicover import (
     MulticoverInstance,
@@ -172,6 +172,44 @@ def test_warm_target_sweep_matches_cold_solves(case, data):
         return
     targets, remaining = state
     assert_sweeps_agree(warm_and_cold_sweep(system, remaining, targets, per_round))
+
+
+@st.composite
+def small_lps(draw):
+    """(sense, objective, A, relations, rhs, bounds) of a random LP with at
+    most 3 variables and 3 rows: any relation on any row, rhs of either
+    sign, lower bounds off zero, and upper bounds equal to the lower bound,
+    above it or absent."""
+    nvar = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 3))
+    ints = st.integers(-2, 2).map(float)
+    A = [draw(st.lists(ints, min_size=nvar, max_size=nvar)) for _ in range(m)]
+    relations = draw(st.lists(st.sampled_from(["<=", ">=", "="]), min_size=m, max_size=m))
+    rhs = [draw(st.integers(-6, 6)) / 2 for _ in range(m)]
+    bounds = []
+    for _ in range(nvar):
+        lo = float(draw(st.integers(-1, 1)))
+        bounds.append((lo, lo + draw(st.sampled_from([0.0, 1.0, 2.0, math.inf]))))
+    return (draw(st.sampled_from(["min", "max"])), draw(st.lists(ints, min_size=nvar,
+            max_size=nvar)), A, relations, rhs, bounds)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_lps())
+def test_raised_last_row_siblings_match_cold_solves(parts):
+    # Any LP's siblings with the last rhs raised one step at a time get the
+    # status and objective of a fresh cold solve, whatever the last row's
+    # relation and sign, whether or not solve() resumes them.
+    sense, objective, A, relations, rhs, bounds = parts
+    first = LpProblem(sense, objective, A, relations, rhs, bounds)
+    triples = []
+    for step in range(4):
+        raised = list(rhs)
+        raised[-1] += step
+        warm = solve(first.sibling(raised))
+        cold = solve(LpProblem(sense, objective, A, relations, raised, bounds))
+        triples.append((raised[-1], warm, cold))
+    assert_sweeps_agree(triples)
 
 
 @settings(max_examples=40, deadline=None)
