@@ -145,9 +145,18 @@ def _load_system(args) -> "SetSystem":
     return gen_biased(args.n, args.m, seed=args.seed)
 
 
+def _fraction(flag: str, text: str) -> Fraction:
+    """text as an exact rational; a malformed one or a zero denominator is
+    an input error naming flag."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{flag}: {text!r} is not a fraction") from None
+
+
 def _make_spec(args, system) -> FairnessSpec:
     if args.fractions:
-        parts = [Fraction(part) for part in args.fractions.split(",")]
+        parts = [_fraction("--fractions", part) for part in args.fractions.split(",")]
         if len(parts) != system.num_colors:
             raise ValueError(
                 f"--fractions names {len(parts)} groups "
@@ -194,9 +203,8 @@ def _run_algorithm(algo: str, system, spec: FairnessSpec, args) -> Cover | None:
     if algo == "gfsc":
         mode = {"greedy": "greedy_sub", "lp": "lp_sub"}.get(args.subroutine, "exhaustive")
         if args.epsilon:
-            cover, audit = epsilon_gfsc(
-                system, EpsilonSpec(spec, Fraction(args.epsilon)), mode=mode, rng=rng
-            )
+            band = EpsilonSpec(spec, _fraction("--epsilon", args.epsilon))
+            cover, audit = epsilon_gfsc(system, band, mode=mode, rng=rng)
             if not audit.ok:
                 raise FairCoverError("banded fairness audit failed")
             return cover

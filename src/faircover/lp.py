@@ -17,11 +17,12 @@ step (_pivot).
 
 solve() has two halves that every path shares: _optimize builds a
 problem's tableau and runs the two phases, and _read turns an optimal
-tableau into a checked LpSolution. Problems made with LpProblem.sibling
-share one private warm-start record. When solve() gets the sibling whose
-last-row rhs is one above that of the sibling it solved last, it re-solves
-from that sibling's phase-two tableau with dual-simplex pivots (Lemke)
-instead of from scratch, provided that last row was given as ">=" with a
+tableau into a checked LpSolution. LpProblem.retarget(target) gives the
+problem with its last row's rhs set to target; every problem re-targeted
+from one relaxation shares a family record of the last target solved and
+its phase-two tableau. When solve() gets the family's last target plus
+one, it re-solves from that tableau with dual-simplex pivots (Lemke)
+instead of from scratch, provided the last row was given as ">=" with a
 positive shifted rhs; this is how the eff_wfsc target sweep re-solves
 tau + 1 after tau. Any other problem is solved cold. A warm answer has the
 cold answer's status and objective, but on a degenerate optimum it may be
@@ -41,15 +42,19 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, InsufficientColor, NumericalFailure
-from .model import SetSystem
+from .errors import DimensionMismatch, NumericalFailure
+from .model import SetSystem, check_pools
 
-# Absolute tolerance for constraint residuals of reported solutions.
+# Absolute tolerance for comparing solution values with exact ones; the
+# solver itself does not read it (_read checks residuals against
+# _RESIDUAL_TOL).
 FEAS_TOL = 1e-9
 # Relative tolerance for objective comparisons.
 OBJ_RTOL = 1e-7
 # Pivoting threshold: entries smaller than this are treated as zero.
 _PIVOT_TOL = 1e-9
+# Largest constraint residual _read accepts in an optimal point.
+_RESIDUAL_TOL = 1e-6
 # Acceptable drift between a color's LP mass and its integer quota.
 MASS_DRIFT_TOL = 1e-6
 
@@ -67,7 +72,7 @@ class LpProblem:
     triples.
     """
 
-    _warm: _WarmStart | None  # shared by siblings, see sibling()
+    _family: list | None  # [last target, tableau], see retarget()
 
     sense: str
     objective: np.ndarray  # (nvar,)
@@ -105,10 +110,11 @@ class LpProblem:
         if bounds is None:
             bnds = np.repeat([[0.0, 1.0]], nvar, axis=0)
         else:
-            bnds = np.array(bounds, dtype=float)
+            bnds = np.asarray(bounds, dtype=float)
             if len(bnds) != nvar:
                 raise DimensionMismatch(f"{len(bnds)} bounds for {nvar} variables")
-            bnds = bnds.reshape(nvar, 2)
+            if bnds.shape != (nvar, 2):
+                bnds = bnds.reshape(nvar, 2)
         lo, hi = bnds[:, 0], bnds[:, 1]
         bad = np.flatnonzero(~np.isfinite(lo))
         if bad.size:
@@ -125,17 +131,22 @@ class LpProblem:
         self.relations = rels
         self.rhs = b
         self.bounds = bnds
-        self._warm = None
+        self._family = None
 
-    def sibling(self, rhs: Sequence[float]) -> LpProblem:
-        """This problem with new right-hand sides. The sibling shares the
-        sense, relations, objective, A and bounds, and one warm-start record
-        with this problem and all its other siblings, so solve() can resume
-        the next last-row target from the tableau of the previous one."""
-        if self._warm is None:
-            self._warm = _WarmStart()
+    def retarget(self, target: float) -> LpProblem:
+        """This problem with only its last row's rhs set to target. It
+        shares every other array, and one family record with this problem
+        and every problem re-targeted from it, so solve() can resume
+        target + 1 from the tableau of target. Raises DimensionMismatch
+        when the problem has no rows."""
+        if not self.relations:
+            raise DimensionMismatch("a problem without rows has no target row")
+        rhs = self.rhs.copy()
+        rhs[-1] = target
+        if self._family is None:
+            self._family = [math.nan, None]
         twin = LpProblem(self.sense, self.objective, self.A, self.relations, rhs, self.bounds)
-        twin._warm = self._warm
+        twin._family = self._family
         return twin
 
     @property
@@ -228,28 +239,6 @@ class _Tableau:
     surplus: int
 
 
-class _WarmStart:
-    """The optimal tableau of the sibling solve() finished last, and that
-    sibling's rhs (None when there is nothing to resume)."""
-
-    __slots__ = ("rhs", "tableau")
-
-    def __init__(self):
-        self.rhs: np.ndarray | None = None
-        self.tableau: _Tableau | None = None
-
-    def follows(self, rhs: np.ndarray) -> bool:
-        """True when rhs is the resumable sibling's rhs with the last row
-        raised by exactly one."""
-        prev = self.rhs
-        return (
-            prev is not None
-            and prev.shape == rhs.shape
-            and rhs[-1] == prev[-1] + 1.0
-            and np.array_equal(rhs[:-1], prev[:-1])
-        )
-
-
 def _dual_pivot_loop(T: np.ndarray, basis: np.ndarray, cost: np.ndarray, budget: int) -> str:
     """Run dual-simplex pivots (Lemke 1954) on a tableau whose reduced
     costs are optimal but whose rhs has gone negative, in place, until the
@@ -285,11 +274,11 @@ def _dual_pivot_loop(T: np.ndarray, basis: np.ndarray, cost: np.ndarray, budget:
 
 def solve(problem: LpProblem) -> LpSolution:
     """Two-phase simplex over the given problem, read from its arrays, or
-    a dual-simplex resume when problem is the next target of a sibling
-    family (see LpProblem.sibling).
+    a dual-simplex resume when problem's target is one above the last
+    target its family solved (see LpProblem.retarget).
 
     Cold: _optimize builds the tableau and runs both phases. Warm: the
-    record holds the phase-two tableau of the sibling solved last, kept
+    family record holds the phase-two tableau of the last target, kept
     only when its last row was given as ">=", stayed unflipped (its
     shifted rhs was positive) and survived phase one; s is that row's
     surplus column. Since B^-1 e_last = -T[:, s],
@@ -301,14 +290,15 @@ def solve(problem: LpProblem) -> LpSolution:
     """
     if problem.num_vars == 0:
         return LpSolution("optimal", _NO_VALUES, 0.0)
-    warm = problem._warm
+    family = problem._family
     tab = None
-    if warm is not None:
+    if family is not None:
+        last, prev = family
         # The record is spent however this solve ends; a finished solve
         # refills it.
-        if warm.follows(problem.rhs):
-            tab = warm.tableau
-        warm.rhs = warm.tableau = None
+        family[:] = math.nan, None
+        if problem.rhs[-1] == last + 1:
+            tab = prev
     if tab is not None:
         tab.T[:, -1] -= tab.T[:, tab.surplus]
         status = _dual_pivot_loop(tab.T, tab.basis, tab.cost, tab.budget)
@@ -321,8 +311,8 @@ def solve(problem: LpProblem) -> LpSolution:
     if status == "unbounded":
         return _UNBOUNDED
     sol = _read(problem, tab)
-    if warm is not None and tab.surplus >= 0:
-        warm.rhs, warm.tableau = problem.rhs, tab
+    if family is not None and tab.surplus >= 0:
+        family[:] = problem.rhs[-1], tab
     return sol
 
 
@@ -428,9 +418,9 @@ def _read(problem: LpProblem, tab: _Tableau) -> LpSolution:
     resid = problem.A @ x - problem.rhs
     rel = np.array(problem.relations, dtype="<U2")
     violated = np.flatnonzero(
-        ((rel == "=") & (np.abs(resid) > 1e-6))
-        | ((rel == "<=") & (resid > 1e-6))
-        | ((rel == ">=") & (resid < -1e-6))
+        ((rel == "=") & (np.abs(resid) > _RESIDUAL_TOL))
+        | ((rel == "<=") & (resid > _RESIDUAL_TOL))
+        | ((rel == ">=") & (resid < -_RESIDUAL_TOL))
     )
     if violated.size:
         idx = violated[0]
@@ -467,15 +457,9 @@ def _relaxation_parts(
     uncovered = sorted(set(uncovered_elems))
     if not uncovered:
         raise ValueError("relaxation needs at least one uncovered element")
-    if len(remaining_sets) < len(per_round):
-        raise DimensionMismatch(
-            f"{len(remaining_sets)} color buckets for {len(per_round)} quotas"
-        )
+    check_pools(remaining_sets, per_round)
     groups = lp_variable_order(remaining_sets, per_round)
     quotas = [p for p in per_round if p > 0]
-    for h, p in enumerate(per_round):
-        if p > 0 and len(remaining_sets[h]) < p:
-            raise InsufficientColor(h, p, len(remaining_sets[h]))
     x_ids = [i for g in groups for i in g]
     nx = len(x_ids)
     ny = len(uncovered)

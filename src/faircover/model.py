@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import NegativeFraction, SumNotOne, ZeroFractionViolated
+from .errors import InsufficientColor, NegativeFraction, SumNotOne, ZeroFractionViolated
 
 
 def mask_of(elements: Iterable[int], n: int) -> int:
@@ -145,6 +145,16 @@ class SetSystem:
     @property
     def group_sizes(self) -> tuple[int, ...]:
         return tuple(len(b) for b in self.sets_by_color)
+
+
+def check_pools(pools: Sequence[Sequence[int]], counts: Sequence[int]) -> None:
+    """Raise InsufficientColor for the first color h whose pool holds fewer
+    than counts[h] set ids. A color past the end of pools, one the system
+    does not have, has an empty pool."""
+    for h, need in enumerate(counts):
+        have = len(pools[h]) if h < len(pools) else 0
+        if need > have:
+            raise InsufficientColor(h, need, have)
 
 
 @dataclass(frozen=True)

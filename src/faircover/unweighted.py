@@ -31,7 +31,7 @@ from .lp import (
     lp_variable_order,
     solve,
 )
-from .model import Cover, FairnessSpec, SetSystem, elements_of, union_of
+from .model import Cover, FairnessSpec, SetSystem, check_pools, elements_of, union_of
 
 # Refuse any quota-tuple enumeration (exhaustive rounds and the oracles)
 # with more candidate tuples than this.
@@ -54,7 +54,6 @@ class GreedyState:
 
     uncovered: int
     remaining: list[list[int]]
-    selected: list[int] = field(default_factory=list)
     rounds: list[tuple[int, ...]] = field(default_factory=list)
 
     @classmethod
@@ -72,7 +71,6 @@ class GreedyState:
         for i in ids:
             self.uncovered &= ~system.masks[i]
             self.remaining[system.colors[i]].remove(i)
-            self.selected.append(i)
         self.rounds.append(ids)
 
     def to_cover(self, system: SetSystem) -> Cover:
@@ -86,7 +84,7 @@ def _run_rounds(system: SetSystem, per_round: Sequence[int], pick, stuck, commit
     commit(state, system, ids) rule given)."""
     state = GreedyState.fresh(system)
     while state.uncovered:
-        _check_availability(state.remaining, per_round)
+        check_pools(state.remaining, per_round)
         ids = pick(state)
         if ids is None or state.new_coverage(system, ids) == 0:
             raise stuck
@@ -131,15 +129,10 @@ def _pad_to_quotas(system: SetSystem, spec: FairnessSpec, base: Cover, key=None)
             continue
         t = max(t, math.ceil(counts[h] / p))
     picked = set(base.selected)
-    pads: list[int] = []
-    for h, p in enumerate(spec.per_round):
-        need = t * p - counts[h]
-        if need == 0:
-            continue
-        avail = sorted((i for i in system.sets_by_color[h] if i not in picked), key=key)
-        if len(avail) < need:
-            raise InsufficientColor(h, need, len(avail))
-        pads.extend(avail[:need])
+    pools = [sorted((i for i in g if i not in picked), key=key) for g in system.sets_by_color]
+    needs = [t * p - c for p, c in zip(spec.per_round, counts)]
+    check_pools(pools, needs)
+    pads = [i for pool, need in zip(pools, needs) for i in pool[:need]]
     rounds = list(base.rounds)
     if pads:
         rounds.append(tuple(sorted(pads)))
@@ -156,14 +149,6 @@ def naive_fsc(system: SetSystem, spec: FairnessSpec) -> Cover:
     because padding can multiply the greedy size by at most the number of
     groups."""
     return _pad_to_quotas(system, spec, greedy_set_cover(system))
-
-
-def _check_availability(
-    remaining: Sequence[Sequence[int]], per_round: Sequence[int]
-) -> None:
-    for h, p in enumerate(per_round):
-        if p > 0 and len(remaining[h]) < p:
-            raise InsufficientColor(h, p, len(remaining[h]))
 
 
 def _quota_tuples(
@@ -202,7 +187,7 @@ def best_coverage_tuple(
     """Exhaustive argmax of new coverage over all quota tuples; ties go to
     the lexicographically smallest tuple, and None means no tuple covers a
     new element."""
-    _check_availability(state.remaining, per_round)
+    check_pools(state.remaining, per_round)
     tuples = _quota_tuples(system.masks, state.remaining, per_round)
     return _best_candidate(tuples, state.uncovered)
 
@@ -229,7 +214,7 @@ def mkcc_greedy(
     the best marginal coverage, skipping sets whose color quota is already
     met, then pad under-quota colors with their lowest-index remaining sets.
     Never mutates state; returns exactly sum(per_round) ids."""
-    _check_availability(state.remaining, per_round)
+    check_pools(state.remaining, per_round)
     working = state.uncovered
     taken: set[int] = set()
     quota_left = list(per_round)

@@ -26,11 +26,10 @@ from .errors import (
 )
 from .lp import LpSolver, build_weighted_mkcc_lp, color_sampling_probs
 from .lp import lp_variable_order, solve
-from .model import Cover, FairnessSpec, SetSystem, elements_of
+from .model import Cover, FairnessSpec, SetSystem, check_pools, elements_of
 from .unweighted import (
     GreedyState,
     _best_candidate,
-    _check_availability,
     _pad_to_quotas,
     _quota_tuples,
     _run_rounds,
@@ -114,20 +113,20 @@ def weighted_mkcc_round(
     pinned to cover at least tau, then rejection-sample quota tuples from
     the fractional masses until one newly covers accept_threshold(tau)
     elements. The relaxation is built once per round, and each target is
-    a sibling of it (LpProblem.sibling) that only sets the rhs of its last
-    row. lp_solver is called once per target, in order; the default solve
-    resumes each target from the previous target's tableau with dual
-    simplex, so on a degenerate relaxation it may return another optimal
-    vertex than a cold solve. Targets whose relaxation is infeasible end
-    the sweep (larger targets only get harder). Ties on the ratio prefer
-    the smallest target.
+    lp.retarget(tau), which only sets the rhs of its last row. lp_solver
+    is called once per target, in order; the default solve resumes each
+    target from the previous target's tableau with dual simplex, so on a
+    degenerate relaxation it may return another optimal vertex than a
+    cold solve. Targets whose relaxation is infeasible end the sweep
+    (larger targets only get harder). Ties on the ratio prefer the
+    smallest target.
 
     Raises AllTauInfeasible when no target is feasible and
     ResampleCapExceeded when a target's sampler exhausts resample_cap(n)
     draws without an acceptable tuple.
     """
     rng = as_rng(rng)
-    _check_availability(state.remaining, per_round)
+    check_pools(state.remaining, per_round)
     uncovered = elements_of(state.uncovered)
     if not uncovered:
         raise ValueError("nothing left to cover")
@@ -137,9 +136,7 @@ def weighted_mkcc_round(
     lp = build_weighted_mkcc_lp(system, state.remaining, uncovered, per_round, 1)
     best: TauCandidate | None = None
     for tau in range(1, len(uncovered) + 1):
-        rhs = lp.rhs.copy()
-        rhs[-1] = tau
-        sol = lp_solver(lp.sibling(rhs))
+        sol = lp_solver(lp.retarget(tau))
         if sol.status == "infeasible":
             break
         if sol.status != "optimal":

@@ -215,17 +215,15 @@ def c01_instance(idx: int):
 
 def warm_and_cold_sweep(system: SetSystem, remaining, targets, per_round):
     """Solve the weighted relaxation at tau = 1, 2, ... twice: in order on
-    siblings of the tau = 1 problem, which solve() resumes from the
-    previous target, and cold on a fresh build per tau. Returns the
+    the tau = 1 problem re-targeted to each tau, which solve() resumes from
+    the previous target, and cold on a fresh build per tau. Returns the
     (tau, warm, cold) triples up to the first tau either calls infeasible."""
     from faircover.lp import build_weighted_mkcc_lp, solve
 
     first = build_weighted_mkcc_lp(system, remaining, targets, per_round, 1)
     out = []
     for tau in range(1, len(targets) + 1):
-        rhs = first.rhs.copy()
-        rhs[-1] = tau
-        warm = solve(first.sibling(rhs))
+        warm = solve(first.retarget(tau))
         cold = solve(build_weighted_mkcc_lp(system, remaining, targets, per_round, tau))
         out.append((tau, warm, cold))
         if "infeasible" in (warm.status, cold.status):

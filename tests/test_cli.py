@@ -218,6 +218,22 @@ def test_fraction_count_mismatch_exits_2(capsys, tmp_path):
     assert "names 2 groups but the instance has 1" in err
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("solve", "--fractions", "1/0,1"),
+    ("solve", "--epsilon", "1/0"),
+    ("compare", "--fractions", "1/0,1"),
+    ("compare", "--epsilon", "1/0"),
+])
+def test_zero_denominator_exits_2(capsys, command, flag, value):
+    algo = ["--algo", "gfsc"] if command == "solve" else ["--algos", "gfsc", "--trials", "1"]
+    code, _, err = run(
+        capsys, command, *algo, "--generator", "synthetic", "--n", "8", "--m", "3",
+        flag, value,
+    )
+    assert code == 2
+    assert f"input error: {flag}: '{value.split(',')[0]}' is not a fraction" in err
+
+
 def test_oversized_exhaustive_request_exits_2(capsys):
     code, _, err = run(
         capsys, "solve", "--algo", "allpick", "--generator", "synthetic",

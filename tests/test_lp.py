@@ -541,6 +541,23 @@ def test_sweep_retargets_one_relaxation_per_round():
 # ----------------------------------------------- warm-started target sweep
 
 
+def test_retarget_sets_only_the_last_rhs():
+    # A re-targeted problem shares every array but rhs, whose last entry
+    # alone moves, and the family record of the problem it came from.
+    sys_ = square_system()
+    first = build_weighted_mkcc_lp(sys_, [[0, 1], [2, 3]], range(6), [1, 1], 1)
+    moved = first.retarget(4)
+    assert moved.sense == first.sense
+    for name in ("objective", "A", "relations", "bounds"):
+        assert getattr(moved, name) is getattr(first, name), name
+    assert moved.rhs[:-1].tobytes() == first.rhs[:-1].tobytes()
+    assert (moved.rhs[-1], first.rhs[-1]) == (4.0, 1.0)
+    assert not moved.rhs.flags.writeable
+    assert moved.retarget(5)._family is first._family
+    with pytest.raises(DimensionMismatch):
+        LpProblem("max", [1.0], [], [], []).retarget(1)
+
+
 def count_cold_solves(monkeypatch):
     """Patch lp._optimize to count the solves that start from scratch."""
     import faircover.lp as lp_mod
@@ -558,7 +575,7 @@ def count_cold_solves(monkeypatch):
 
 def test_warm_sweep_matches_cold_solves_on_c01_states(monkeypatch):
     # On every eff_wfsc round state of the c01 sample, each target solved
-    # warm (in order, on siblings of tau = 1) has the cold solve's status
+    # warm (in order, on tau = 1 re-targeted) has the cold solve's status
     # and objective, so the sweep ends at the same tau. Only tau = 1 of a
     # warm sweep starts from scratch.
     from faircover.weighted import eff_wfsc
@@ -610,14 +627,12 @@ def test_dual_pivot_budget_exhaustion_is_typed(monkeypatch):
     monkeypatch.setattr(lp_mod, "_dual_pivot_loop", lambda T, b, c, budget: real(T, b, c, 0))
     sys_ = square_system()
     first = build_weighted_mkcc_lp(sys_, [[0, 1], [2, 3]], range(6), [1, 1], 1)
-    assert solve(first.sibling(first.rhs)).status == "optimal"
-    rhs = first.rhs.copy()
-    rhs[-1] = 2
+    assert solve(first.retarget(1)).status == "optimal"
     with pytest.raises(NumericalFailure):
-        solve(first.sibling(rhs))
+        solve(first.retarget(2))
     # The failed resume spent the record, so a retry solves cold.
     monkeypatch.undo()
-    retry = solve(first.sibling(rhs))
+    retry = solve(first.retarget(2))
     cold = solve(build_weighted_mkcc_lp(sys_, [[0, 1], [2, 3]], range(6), [1, 1], 2))
     assert retry.values.tobytes() == cold.values.tobytes()
 
@@ -628,8 +643,8 @@ def test_flipped_last_row_is_not_resumed(monkeypatch):
     # x >= 1.5 instead. The second target must get the cold answer.
     first = LpProblem("min", [1.0], [[-1.0]], ["<="], [-0.5])
     cold_starts = count_cold_solves(monkeypatch)
-    assert solve(first.sibling([-0.5])).values.tolist() == [0.5]
-    raised = solve(first.sibling([0.5]))
+    assert solve(first.retarget(-0.5)).values.tolist() == [0.5]
+    raised = solve(first.retarget(0.5))
     assert len(cold_starts) == 2
     cold = solve(LpProblem("min", [1.0], [[-1.0]], ["<="], [0.5]))
     assert raised.status == cold.status == "optimal"
@@ -637,7 +652,7 @@ def test_flipped_last_row_is_not_resumed(monkeypatch):
 
 
 def test_out_of_order_or_repeated_target_solves_cold(monkeypatch):
-    # solve() resumes only the next target of the sibling it solved last;
+    # solve() resumes only the target after the one its family solved last;
     # a repeated, skipped or lowered target gets exactly the cold answer.
     sys_, spec = c01_instance(2)
     per_round = spec.per_round
@@ -645,16 +660,11 @@ def test_out_of_order_or_repeated_target_solves_cold(monkeypatch):
     targets = range(sys_.n)
     first = build_weighted_mkcc_lp(sys_, remaining, targets, per_round, 1)
 
-    def at(tau):
-        rhs = first.rhs.copy()
-        rhs[-1] = tau
-        return first.sibling(rhs)
-
     cold_starts = count_cold_solves(monkeypatch)
     steps = [(1, False), (2, True), (3, True), (3, False), (5, False), (2, False), (3, True)]
     for tau, resumed in steps:
         before = len(cold_starts)
-        warm = solve(at(tau))
+        warm = solve(first.retarget(tau))
         assert (len(cold_starts) == before) == resumed, tau
         cold = solve(build_weighted_mkcc_lp(sys_, remaining, targets, per_round, tau))
         assert warm.status == cold.status == "optimal"

@@ -6,13 +6,14 @@ bound the best integral round, and multicover prices that sum to the cover."""
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from faircover.errors import AllTuplesZeroCoverage, FairCoverError
+from faircover.errors import AllTuplesZeroCoverage, FairCoverError, InsufficientColor
 from faircover.generalized import gfsc, gfwsc
 from faircover.lp import LpProblem, build_mkcc_lp, build_weighted_mkcc_lp, solve
-from faircover.model import FairnessSpec, SetSystem, fairness_report
+from faircover.model import FairnessSpec, SetSystem, count_parity, fairness_report
 from faircover.multicover import (
     MulticoverInstance,
     audit_price_identity,
@@ -29,7 +30,8 @@ from support import assert_sweeps_agree, lightest_tuple_weight, warm_and_cold_sw
 def instances(draw):
     """(system, spec, seed): n <= 10, up to 3 colors each owning a set, at
     most 16 sets, weights on half the draws, and shares with small
-    denominators (a color may get share zero)."""
+    denominators for the system's colors and maybe one color it lacks (any
+    color may get share zero)."""
     n = draw(st.integers(1, 10))
     k = draw(st.integers(1, 3))
     num = draw(st.integers(k, 16))
@@ -42,7 +44,7 @@ def instances(draw):
         st.none(),
         st.lists(st.floats(0.5, 3.0), min_size=num, max_size=num),
     ))
-    shares = draw(st.lists(st.integers(0, 2), min_size=k, max_size=k).filter(any))
+    shares = draw(st.lists(st.integers(0, 2), min_size=k, max_size=k + 1).filter(any))
     spec = FairnessSpec([Fraction(c, sum(shares)) for c in shares])
     return SetSystem(n, sets, colors, weights), spec, draw(st.integers(0, 2**16))
 
@@ -101,6 +103,19 @@ def test_every_algorithm_covers_fairly_or_fails_typed_and_repeats(case):
     assert isinstance(plain, type) or plain.covers_universe(system)
 
 
+def test_a_color_the_system_lacks_has_an_empty_pool():
+    # Two shares for a one-color system: a positive share for the missing
+    # color is InsufficientColor everywhere (no fair cover for the oracle),
+    # a zero share covers everywhere.
+    system = SetSystem(2, [[0], [1]], [0, 0])
+    for name, run in ALGORITHMS.items():
+        with pytest.raises(InsufficientColor):
+            run(system, count_parity(2), 0)
+        assert run(system, FairnessSpec([1, 0]), 0).selected == (0, 1), name
+    assert opt_fair_cover(system, count_parity(2)) is None
+    assert opt_fair_cover(system, FairnessSpec([1, 0])).selected == (0, 1)
+
+
 @settings(max_examples=40, deadline=None)
 @given(instances())
 def test_quota_greedies_stay_within_their_log_bounds(case):
@@ -120,13 +135,13 @@ def test_quota_greedies_stay_within_their_log_bounds(case):
 def _round_state(system, per_round, data):
     """A random round state: some uncovered elements (ascending) and the
     remaining sets of each color, or None when a color is short of its
-    quota."""
+    quota or a color the system lacks has a positive one."""
     targets = sorted(data.draw(st.sets(st.integers(0, system.n - 1), min_size=1)))
     remaining = [
         sorted(data.draw(st.sets(st.sampled_from(g), min_size=min(p, len(g)))))
         for g, p in zip(system.sets_by_color, per_round)
     ]
-    if any(len(r) < p for r, p in zip(remaining, per_round)):
+    if any(len(r) < p for r, p in zip(remaining, per_round)) or any(per_round[len(remaining):]):
         return None
     return targets, remaining
 
@@ -196,8 +211,8 @@ def small_lps(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(small_lps())
-def test_raised_last_row_siblings_match_cold_solves(parts):
-    # Any LP's siblings with the last rhs raised one step at a time get the
+def test_raised_last_row_targets_match_cold_solves(parts):
+    # Any LP re-targeted with the last rhs raised one step at a time gets the
     # status and objective of a fresh cold solve, whatever the last row's
     # relation and sign, whether or not solve() resumes them.
     sense, objective, A, relations, rhs, bounds = parts
@@ -206,7 +221,7 @@ def test_raised_last_row_siblings_match_cold_solves(parts):
     for step in range(4):
         raised = list(rhs)
         raised[-1] += step
-        warm = solve(first.sibling(raised))
+        warm = solve(first.retarget(raised[-1]))
         cold = solve(LpProblem(sense, objective, A, relations, raised, bounds))
         triples.append((raised[-1], warm, cold))
     assert_sweeps_agree(triples)
