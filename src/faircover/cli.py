@@ -36,22 +36,6 @@ from .weighted import eff_wfsc, greedy_weighted_allpick, naive_wfsc
 
 REPORT_SCHEMA = "faircover.report/1"
 
-ALGORITHMS = (
-    "sc",
-    "naive",
-    "allpick",
-    "eff-greedy",
-    "eff-lp",
-    "wfsc-naive",
-    "wfsc-allpick",
-    "wfsc-eff",
-    "gfsc",
-    "multicover",
-    "opt-sc",
-    "opt-fair",
-)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="faircover",
@@ -182,43 +166,46 @@ def _requirements(args, system) -> tuple[int, ...]:
     return tuple([const] * system.n)
 
 
-def _run_algorithm(algo: str, system, spec: FairnessSpec, args) -> Cover | None:
-    rng = np.random.default_rng(args.seed)
-    if algo == "sc":
-        return greedy_set_cover(system)
-    if algo == "naive":
-        return naive_fsc(system, spec)
-    if algo == "allpick":
-        return greedy_allpick(system, spec)
-    if algo == "eff-greedy":
-        return eff_fsc(system, spec, subroutine="greedy", rng=rng)
-    if algo == "eff-lp":
-        return eff_fsc(system, spec, subroutine="lp", rng=rng)
-    if algo == "wfsc-naive":
-        return naive_wfsc(system, spec)
-    if algo == "wfsc-allpick":
-        return greedy_weighted_allpick(system, spec)
-    if algo == "wfsc-eff":
-        return eff_wfsc(system, spec, rng=rng)
-    if algo == "gfsc":
-        mode = {"greedy": "greedy_sub", "lp": "lp_sub"}.get(args.subroutine, "exhaustive")
-        if args.epsilon:
-            band = EpsilonSpec(spec, _fraction("--epsilon", args.epsilon))
-            cover, audit = epsilon_gfsc(system, band, mode=mode, rng=rng)
-            if not audit.ok:
-                raise FairCoverError("banded fairness audit failed")
-            return cover
-        return gfsc(system, spec, mode=mode, rng=rng)
-    if algo == "multicover":
-        inst = MulticoverInstance(system, _requirements(args, system))
-        mode = "mkcc_sub" if args.subroutine == "lp" else "exhaustive"
-        cover, _ = fair_multicover_greedy(inst, spec, mode=mode, rng=rng)
+def _run_gfsc(system, spec: FairnessSpec, args, rng) -> Cover:
+    mode = {"greedy": "greedy_sub", "lp": "lp_sub"}.get(args.subroutine, "exhaustive")
+    if args.epsilon:
+        band = EpsilonSpec(spec, _fraction("--epsilon", args.epsilon))
+        cover, audit = epsilon_gfsc(system, band, mode=mode, rng=rng)
+        if not audit.ok:
+            raise FairCoverError("banded fairness audit failed")
         return cover
-    if algo == "opt-sc":
-        return opt_set_cover(system)
-    if algo == "opt-fair":
-        return opt_fair_cover(system, spec, weighted=system.is_weighted)
-    raise ValueError(f"unknown algorithm {algo!r}")
+    return gfsc(system, spec, mode=mode, rng=rng)
+
+
+def _run_multicover(system, spec: FairnessSpec, args, rng) -> Cover:
+    inst = MulticoverInstance(system, _requirements(args, system))
+    mode = "mkcc_sub" if args.subroutine == "lp" else "exhaustive"
+    return fair_multicover_greedy(inst, spec, mode=mode, rng=rng)[0]
+
+
+# Each algorithm name's runner(system, spec, args, rng); opt-fair returns
+# None when no quota-respecting cover exists.
+_RUNNERS = {
+    "sc": lambda system, spec, args, rng: greedy_set_cover(system),
+    "naive": lambda system, spec, args, rng: naive_fsc(system, spec),
+    "allpick": lambda system, spec, args, rng: greedy_allpick(system, spec),
+    "eff-greedy": lambda system, spec, args, rng: eff_fsc(system, spec, "greedy", rng),
+    "eff-lp": lambda system, spec, args, rng: eff_fsc(system, spec, "lp", rng),
+    "wfsc-naive": lambda system, spec, args, rng: naive_wfsc(system, spec),
+    "wfsc-allpick": lambda system, spec, args, rng: greedy_weighted_allpick(system, spec),
+    "wfsc-eff": lambda system, spec, args, rng: eff_wfsc(system, spec, rng),
+    "gfsc": _run_gfsc,
+    "multicover": _run_multicover,
+    "opt-sc": lambda system, spec, args, rng: opt_set_cover(system),
+    "opt-fair": lambda system, spec, args, rng: opt_fair_cover(
+        system, spec, weighted=system.is_weighted
+    ),
+}
+ALGORITHMS = tuple(_RUNNERS)
+
+
+def _run_algorithm(algo: str, system, spec: FairnessSpec, args) -> Cover | None:
+    return _RUNNERS[algo](system, spec, args, np.random.default_rng(args.seed))
 
 
 def _report_record(algo: str, system, spec: FairnessSpec, cover: Cover,
@@ -292,6 +279,18 @@ def _cmd_compare(args) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be positive")
 
+    # One instance per trial, shared by every algorithm.
+    trials = []
+    for t in range(args.trials):
+        trial_args = argparse.Namespace(**vars(args))
+        trial_args.seed = args.seed + t
+        system = _load_system(trial_args)
+        # Build the cached views now, or the first algorithm listed would be
+        # timed building them for every later one.
+        for view in ("masks", "sets_by_color", "element_sets", "incidence"):
+            getattr(system, view)
+        trials.append((trial_args, system, _make_spec(args, system)))
+
     rows = []
     for algo in algos:
         sizes: list[float] = []
@@ -299,11 +298,7 @@ def _cmd_compare(args) -> int:
         ratios: list[float] = []
         times: list[float] = []
         failures = 0
-        for t in range(args.trials):
-            trial_args = argparse.Namespace(**vars(args))
-            trial_args.seed = args.seed + t
-            system = _load_system(trial_args)
-            spec = _make_spec(args, system)
+        for trial_args, system, spec in trials:
             try:
                 start = time.perf_counter()
                 cover = _run_algorithm(algo, system, spec, trial_args)

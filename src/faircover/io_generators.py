@@ -31,6 +31,11 @@ from .errors import InvalidMatrix, ParseError
 from .model import SetSystem
 
 FORMATS = ("json", "csv")
+# gen_biased: element probability of a generous and of a sparse set, and
+# how many generous sets color 0 gets for each one color 1 gets.
+BIASED_RICH_P = 0.55
+BIASED_POOR_P = 0.06
+BIASED_DOMINANCE = 4
 
 
 # ---------------------------------------------------------------- file I/O
@@ -220,29 +225,23 @@ def gen_synthetic(
     return SetSystem(n, sets, colors, weights)
 
 
-def gen_biased(
-    n: int,
-    m_per_color: int = 8,
-    seed: int | None = None,
-    rich_p: float = 0.55,
-    poor_p: float = 0.06,
-    dominance: int = 4,
-) -> SetSystem:
+def gen_biased(n: int, m_per_color: int = 8, seed: int | None = None) -> SetSystem:
     """Two-color instance where high-coverage sets pile up in color 0.
 
-    Out of every dominance + 1 generous sets, dominance land in color 0 and
-    one in color 1; all other sets are sparse. Plain greedy gravitates to
+    Out of every BIASED_DOMINANCE + 1 generous sets (element probability
+    BIASED_RICH_P), BIASED_DOMINANCE land in color 0 and one in color 1;
+    all other sets are sparse (BIASED_POOR_P). Plain greedy gravitates to
     color 0 and comes out lopsided, while quota algorithms stay exact at a
     comparable size, which makes this the standard demonstration preset.
     """
     rng = np.random.default_rng(seed)
-    rich_total = dominance + 1
-    rich0 = min(dominance, m_per_color)
+    rich_total = BIASED_DOMINANCE + 1
+    rich0 = min(BIASED_DOMINANCE, m_per_color)
     rich1 = min(rich_total - rich0, m_per_color)
     probs = []
     for h in range(2):
         rich_here = rich0 if h == 0 else rich1
-        probs.extend([rich_p] * rich_here + [poor_p] * (m_per_color - rich_here))
+        probs.extend([BIASED_RICH_P] * rich_here + [BIASED_POOR_P] * (m_per_color - rich_here))
     mu = 2 * m_per_color
     sets = [list(np.flatnonzero(rng.random(n) < probs[i])) for i in range(mu)]
     _repair(sets, n, rng)

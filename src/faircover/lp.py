@@ -547,3 +547,14 @@ def color_sampling_probs(
             )
         out.append(x / x.sum())
     return out
+
+
+def round_laws(
+    values: Sequence[float], remaining_sets: Sequence[Sequence[int]], per_round: Sequence[int]
+):
+    """The sampling laws of one solved round relaxation: (groups, quotas,
+    probs), groups in lp_variable_order, quotas the nonzero entries of
+    per_round and probs color_sampling_probs of the values' x block."""
+    groups = lp_variable_order(remaining_sets, per_round)
+    quotas = [p for p in per_round if p > 0]
+    return groups, quotas, color_sampling_probs(values, groups, quotas)

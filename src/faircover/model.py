@@ -183,14 +183,12 @@ def validate_instance(system: SetSystem) -> ValidationOutcome:
     elements outside [0, n), non-positive weights, and colors in
     [0, num_colors) that own no set. Never raises.
     """
-    covered = set()
-    out_of_range = []
-    for i, s in enumerate(system.sets):
-        bad = any(e < 0 or e >= system.n for e in s)
-        if bad:
-            out_of_range.append(i)
-        covered.update(e for e in s if 0 <= e < system.n)
-    uncovered = tuple(e for e in range(system.n) if e not in covered)
+    everything = (1 << system.n) - 1
+    uncovered = tuple(elements_of(everything & ~union_of(system.masks, range(system.num_sets))))
+    # Sets are stored sorted, so a set is in range when its ends are.
+    out_of_range = tuple(
+        i for i, s in enumerate(system.sets) if s and (s[0] < 0 or s[-1] >= system.n)
+    )
     bad_weights = ()
     if system.weights is not None:
         bad_weights = tuple(
@@ -200,7 +198,7 @@ def validate_instance(system: SetSystem) -> ValidationOutcome:
     empty = tuple(c for c in range(system.num_colors) if c not in present)
     return ValidationOutcome(
         uncovered_elements=uncovered,
-        out_of_range_sets=tuple(out_of_range),
+        out_of_range_sets=out_of_range,
         nonpositive_weight_sets=bad_weights,
         empty_colors=empty,
     )

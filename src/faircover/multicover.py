@@ -32,6 +32,8 @@ from .unweighted import (
 )
 
 MODES = ("exhaustive", "mkcc_sub")
+# Absolute slack the audits allow for float rounding in the ledger's sums.
+AUDIT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -164,7 +166,7 @@ class AuditReport:
 
 
 def audit_price_identity(
-    cover: Cover, ledger: PriceLedger, spec: FairnessSpec, tol: float = 1e-9
+    cover: Cover, ledger: PriceLedger, spec: FairnessSpec
 ) -> AuditReport:
     """Assert the exact pricing identities.
 
@@ -177,21 +179,19 @@ def audit_price_identity(
     for r in range(len(cover.rounds)):
         dev = abs(sums.get(r, 0.0) - round_size)
         max_dev = max(max_dev, dev)
-        if dev > tol:
+        if dev > AUDIT_TOL:
             raise AuditFailure(
                 f"round {r} prices sum to {sums.get(r, 0.0)!r}, expected {round_size}"
             )
     total = ledger.total_price()
-    if abs(total - cover.size) > tol * max(1, cover.size):
+    if abs(total - cover.size) > AUDIT_TOL * max(1, cover.size):
         raise AuditFailure(
             f"ledger total {total!r} differs from cover size {cover.size}"
         )
     return AuditReport(True, total, cover.size, max_dev)
 
 
-def audit_harmonic_bound(
-    instance: MulticoverInstance, ledger: PriceLedger, tol: float = 1e-9
-) -> float:
+def audit_harmonic_bound(instance: MulticoverInstance, ledger: PriceLedger) -> float:
     """Assert every set's terminal prices stay under k * H_n.
 
     For each set (picked or not), summing the last price of each of its
@@ -205,7 +205,7 @@ def audit_harmonic_bound(
     worst = 0.0
     for i, s in enumerate(system.sets):
         total = sum(terminal.get(e, 0.0) for e in s)
-        if total > bound + tol:
+        if total > bound + AUDIT_TOL:
             raise AuditFailure(
                 f"set {i} terminal prices {total!r} exceed bound {bound!r}"
             )

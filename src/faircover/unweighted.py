@@ -1,7 +1,9 @@
 """Unweighted cover algorithms, from plain greedy to quota-respecting rounds.
 
 Every cover loop, here and in weighted and multicover, is the _run_rounds
-driver with its own round picker; every candidate argmax is _best_candidate.
+driver with its own round picker; every candidate argmax is _best_candidate;
+every LP-rounded round, the weighted target sweep's included, draws its
+samples through _draw.
 
 Determinism contract: all ties break toward the smallest set index (for
 single picks) or the lexicographically smallest sorted id tuple (for round
@@ -24,13 +26,7 @@ from .errors import (
     NoProgress,
     NumericalFailure,
 )
-from .lp import (
-    LpSolver,
-    build_mkcc_lp,
-    color_sampling_probs,
-    lp_variable_order,
-    solve,
-)
+from .lp import LpSolver, build_mkcc_lp, round_laws, solve
 from .model import Cover, FairnessSpec, SetSystem, check_pools, elements_of, union_of
 
 # Refuse any quota-tuple enumeration (exhaustive rounds and the oracles)
@@ -218,12 +214,12 @@ def mkcc_greedy(
     working = state.uncovered
     taken: set[int] = set()
     quota_left = list(per_round)
-    total_left = sum(per_round)
-    while total_left > 0 and working:
+    # A taken set covers nothing of working, so the argmax never re-takes it.
+    while working:
         eligible = (
             ((i,), system.masks[i])
             for h, g in enumerate(state.remaining) if quota_left[h] > 0
-            for i in g if i not in taken
+            for i in g
         )
         best = _best_candidate(eligible, working)
         if best is None:
@@ -232,32 +228,9 @@ def mkcc_greedy(
         taken.add(i)
         working &= ~system.masks[i]
         quota_left[system.colors[i]] -= 1
-        total_left -= 1
     for h, g in enumerate(state.remaining):
-        for i in g:
-            if quota_left[h] == 0:
-                break
-            if i not in taken:
-                taken.add(i)
-                quota_left[h] -= 1
+        taken.update([i for i in g if i not in taken][: quota_left[h]])
     return tuple(sorted(taken))
-
-
-def _solve_round_probs(
-    system: SetSystem,
-    state: GreedyState,
-    per_round: Sequence[int],
-    lp_solver: LpSolver,
-):
-    """Solve the round relaxation and return per-color (ids, probabilities)."""
-    lp = build_mkcc_lp(system, state.remaining, elements_of(state.uncovered), per_round)
-    sol = lp_solver(lp)
-    if sol.status != "optimal":
-        raise NumericalFailure(f"round relaxation came back {sol.status}")
-    groups = lp_variable_order(state.remaining, per_round)
-    quotas = [p for p in per_round if p > 0]
-    probs = color_sampling_probs(sol.values, groups, quotas)
-    return groups, quotas, probs, sol
 
 
 def sample_round_tuple(
@@ -278,14 +251,34 @@ def sample_round_tuple(
             chosen.append(g[int(rng.choice(len(g), p=pr))])
             continue
         draws = rng.choice(len(g), size=q, replace=True, p=pr)
-        picked = sorted({g[int(d)] for d in draws})
-        for i in g:
-            if len(picked) == q:
-                break
-            if i not in picked:
-                picked.append(i)
+        picked = {g[int(d)] for d in draws}
         chosen.extend(picked)
+        chosen.extend([i for i in g if i not in picked][: q - len(picked)])
     return tuple(sorted(chosen))
+
+
+def _draw(system: SetSystem, state: GreedyState, laws, rng: np.random.Generator,
+          tries: int, threshold: int) -> tuple[tuple[int, ...], int] | None:
+    """The first of up to tries samples from laws, the (groups, quotas,
+    probs) of lp.round_laws, that newly covers at least threshold elements,
+    with that coverage; None when no sample does."""
+    for _ in range(tries):
+        ids = sample_round_tuple(*laws, rng)
+        covered = state.new_coverage(system, ids)
+        if covered >= threshold:
+            return ids, covered
+    return None
+
+
+def _lp_draw(system: SetSystem, state: GreedyState, per_round: Sequence[int],
+             rng: np.random.Generator, lp_solver: LpSolver, tries: int, threshold: int):
+    """Solve the round's coverage relaxation once and _draw from its laws."""
+    lp = build_mkcc_lp(system, state.remaining, elements_of(state.uncovered), per_round)
+    sol = lp_solver(lp)
+    if sol.status != "optimal":
+        raise NumericalFailure(f"round relaxation came back {sol.status}")
+    laws = round_laws(sol.values, state.remaining, per_round)
+    return _draw(system, state, laws, rng, tries, threshold)
 
 
 def _sampled_round(
@@ -298,12 +291,8 @@ def _sampled_round(
     """One LP-rounded round: the first of up to 1 + ZERO_PROGRESS_RESAMPLES
     samples that covers a new element, else the marginal greedy round
     (which may cover nothing either; callers check)."""
-    groups, quotas, probs, _ = _solve_round_probs(system, state, per_round, lp_solver)
-    for _ in range(1 + ZERO_PROGRESS_RESAMPLES):
-        ids = sample_round_tuple(groups, quotas, probs, rng)
-        if state.new_coverage(system, ids) > 0:
-            return ids
-    return mkcc_greedy(system, state, per_round)
+    hit = _lp_draw(system, state, per_round, rng, lp_solver, 1 + ZERO_PROGRESS_RESAMPLES, 1)
+    return hit[0] if hit else mkcc_greedy(system, state, per_round)
 
 
 def mkcc_lp_round(
@@ -317,9 +306,7 @@ def mkcc_lp_round(
     sample each color's quota by the optimal fractional masses. Expected new
     coverage is at least (1 - 1/e) times the relaxation optimum; integral
     relaxations round to their support with certainty."""
-    rng = as_rng(rng)
-    groups, quotas, probs, _ = _solve_round_probs(system, state, per_round, lp_solver)
-    return sample_round_tuple(groups, quotas, probs, rng)
+    return _lp_draw(system, state, per_round, as_rng(rng), lp_solver, 1, 0)[0]
 
 
 def eff_fsc(

@@ -24,17 +24,17 @@ from .errors import (
     NumericalFailure,
     ResampleCapExceeded,
 )
-from .lp import LpSolver, build_weighted_mkcc_lp, color_sampling_probs
-from .lp import lp_variable_order, solve
-from .model import Cover, FairnessSpec, SetSystem, check_pools, elements_of
+from .lp import LpSolver, build_weighted_mkcc_lp, round_laws, solve
+from .model import Cover, FairnessSpec, SetSystem, elements_of
 from .unweighted import (
     GreedyState,
     _best_candidate,
+    _draw,
     _pad_to_quotas,
     _quota_tuples,
     _run_rounds,
     as_rng,
-    sample_round_tuple,
+    sample_round_tuple,  # re-exported; the sweep samples through _draw
 )
 
 # Fraction of tau a sampled round must newly cover to be accepted.
@@ -110,9 +110,10 @@ def weighted_mkcc_round(
     relaxation weight per newly covered element.
 
     For each tau = 1 .. |uncovered|: solve the weight-minimizing relaxation
-    pinned to cover at least tau, then rejection-sample quota tuples from
-    the fractional masses until one newly covers accept_threshold(tau)
-    elements. The relaxation is built once per round, and each target is
+    pinned to cover at least tau, then draw quota tuples from the fractional
+    masses through unweighted's shared draw loop (_draw, the one eff_fsc's
+    LP rounds use) until one newly covers accept_threshold(tau) elements.
+    The relaxation is built once per round, and each target is
     lp.retarget(tau), which only sets the rhs of its last row. lp_solver
     is called once per target, in order; the default solve resumes each
     target from the previous target's tableau with dual simplex, so on a
@@ -121,17 +122,14 @@ def weighted_mkcc_round(
     (larger targets only get harder). Ties on the ratio prefer the
     smallest target.
 
-    Raises AllTauInfeasible when no target is feasible and
+    Raises ValueError when nothing is left to cover, InsufficientColor
+    when a color cannot fill its quota (both from the relaxation builder,
+    in that order), AllTauInfeasible when no target is feasible and
     ResampleCapExceeded when a target's sampler exhausts resample_cap(n)
     draws without an acceptable tuple.
     """
     rng = as_rng(rng)
-    check_pools(state.remaining, per_round)
     uncovered = elements_of(state.uncovered)
-    if not uncovered:
-        raise ValueError("nothing left to cover")
-    groups = lp_variable_order(state.remaining, per_round)
-    quotas = [p for p in per_round if p > 0]
     cap = resample_cap(system.n)
     lp = build_weighted_mkcc_lp(system, state.remaining, uncovered, per_round, 1)
     best: TauCandidate | None = None
@@ -141,23 +139,17 @@ def weighted_mkcc_round(
             break
         if sol.status != "optimal":
             raise NumericalFailure(f"target {tau} relaxation came back {sol.status}")
-        probs = color_sampling_probs(sol.values, groups, quotas)
+        laws = round_laws(sol.values, state.remaining, per_round)
         threshold = accept_threshold(tau)
-        accepted: tuple[int, ...] | None = None
-        covered = 0
-        for _ in range(cap):
-            ids = sample_round_tuple(groups, quotas, probs, rng)
-            covered = state.new_coverage(system, ids)
-            if covered >= threshold:
-                accepted = ids
-                break
-        if accepted is None:
+        hit = _draw(system, state, laws, rng, cap, threshold)
+        if hit is None:
             raise ResampleCapExceeded(
                 f"target {tau}: no sample met coverage {threshold} in {cap} draws"
             )
+        ids, covered = hit
         ratio = sol.objective / covered
         if best is None or ratio < best.ratio:
-            best = TauCandidate(tau, sol.objective, accepted, covered, ratio)
+            best = TauCandidate(tau, sol.objective, ids, covered, ratio)
     if best is None:
         raise AllTauInfeasible("no coverage target admits a feasible relaxation")
     return best

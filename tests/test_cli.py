@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from faircover import cli
 from faircover.cli import ALGORITHMS, REPORT_SCHEMA, main
 from faircover.io_generators import save_instance
 from faircover.model import SetSystem
@@ -327,6 +328,25 @@ def test_compare_counts_failures_without_dying(capsys):
     )
     assert code == 0
     assert json.loads(out)["rows"][0]["failures"] == 0
+
+
+def test_compare_builds_each_trial_instance_once(capsys, monkeypatch):
+    seeds = []
+    real = cli.gen_synthetic
+    monkeypatch.setattr(
+        cli, "gen_synthetic", lambda *a, **kw: seeds.append(kw["seed"]) or real(*a, **kw)
+    )
+    code, out, _ = run(
+        capsys, "compare", "--algos", "sc,naive,sc", "--generator", "synthetic",
+        "--n", "12", "--m", "5", "--trials", "3", "--seed", "4", "--output", "json",
+    )
+    assert code == 0
+    assert seeds == [4, 5, 6]
+    rows = json.loads(out)["rows"]
+    assert [r["algorithm"] for r in rows] == ["sc", "naive", "sc"]
+    assert {k: v for k, v in rows[0].items() if k != "time_mean_ms"} == {
+        k: v for k, v in rows[2].items() if k != "time_mean_ms"
+    }
 
 
 def test_compare_requires_generator(capsys, inst_path):

@@ -89,6 +89,13 @@ def test_validation_reports_out_of_range_and_bad_weights():
     assert out.nonpositive_weight_sets == (1,)
 
 
+def test_validation_flags_negative_and_past_end_ids():
+    sys_ = SetSystem(4, [[-2, 0], [1], [2, 7], [], [-1, 4]], [0, 0, 1, 1, 1])
+    out = validate_instance(sys_)
+    assert out.out_of_range_sets == (0, 2, 4)
+    assert out.uncovered_elements == (3,)
+
+
 def test_validation_reports_empty_colors():
     sys_ = SetSystem(1, [[0], [0]], [0, 2])
     out = validate_instance(sys_)

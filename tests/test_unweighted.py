@@ -1,9 +1,11 @@
 """Unweighted algorithms: plain greedy, padding, round tuples, LP rounding."""
 
 import math
+from collections import Counter
 
 import pytest
 
+from faircover import unweighted
 from faircover.errors import (
     AllTauInfeasible,
     AllTuplesZeroCoverage,
@@ -17,6 +19,7 @@ from faircover.model import FairnessSpec, SetSystem, count_parity, fairness_repo
 from faircover.multicover import MulticoverInstance, fair_multicover_greedy
 from faircover.oracles import opt_fair_cover, opt_mkcc, opt_set_cover
 from faircover.unweighted import (
+    ZERO_PROGRESS_RESAMPLES,
     GreedyState,
     eff_fsc,
     greedy_allpick,
@@ -298,10 +301,11 @@ def test_eff_fsc_lp_equals_allpick_when_rounds_integral():
     )
 
 
-def test_eff_fsc_zero_progress_fallback_via_pluggable_solver():
+def test_eff_fsc_zero_progress_fallback_via_pluggable_solver(monkeypatch):
     # A legal but unhelpful optimal point: all mass on empty sets. The
-    # sampler can never make progress, so after the redraw budget the round
-    # must fall back to the marginal greedy and still finish fairly.
+    # sampler can never make progress, so after exactly the redraw budget
+    # the round must fall back to the marginal greedy and still finish
+    # fairly.
     sys_ = SetSystem(1, [[0], [], [0], []], [0, 0, 1, 1])
 
     def stubborn(problem: LpProblem) -> LpSolution:
@@ -310,8 +314,16 @@ def test_eff_fsc_zero_progress_fallback_via_pluggable_solver():
         values[3] = 1.0  # blue mass on the empty set
         return LpSolution("optimal", tuple(values), 0.0)
 
+    calls = Counter()
+    for name in ("sample_round_tuple", "mkcc_greedy"):
+        real = getattr(unweighted, name)
+        monkeypatch.setattr(
+            unweighted, name,
+            lambda *args, _name=name, _real=real: calls.update([_name]) or _real(*args),
+        )
     cover = eff_fsc(sys_, SPEC2, subroutine="lp", rng=0, lp_solver=stubborn)
     assert cover.rounds == ((0, 2),)
+    assert calls == {"sample_round_tuple": 1 + ZERO_PROGRESS_RESAMPLES, "mkcc_greedy": 1}
 
 
 def test_eff_fsc_sizes_within_doubled_log_bound():

@@ -4,10 +4,12 @@ import math
 
 import pytest
 
+from faircover import unweighted
 from faircover.errors import (
     AllTauInfeasible,
     AllTuplesZeroCoverage,
     BudgetExceeded,
+    InsufficientColor,
     ResampleCapExceeded,
 )
 from faircover.io_generators import gen_synthetic
@@ -180,7 +182,7 @@ def test_weighted_round_stops_sweep_at_unreachable_target():
     assert cand.covered_new >= 1
 
 
-def test_weighted_round_resample_cap_is_loud():
+def test_weighted_round_resample_cap_is_loud(monkeypatch):
     sys_ = SetSystem(1, [[0], [], [0], []], [0, 0, 1, 1],
                      weights=[1.0, 1.0, 1.0, 1.0])
 
@@ -190,10 +192,29 @@ def test_weighted_round_resample_cap_is_loud():
         values[3] = 1.0
         return LpSolution("optimal", tuple(values), 0.0)
 
+    draws = []
+    real = unweighted.sample_round_tuple
+    monkeypatch.setattr(
+        unweighted, "sample_round_tuple", lambda *args: draws.append(1) or real(*args)
+    )
     with pytest.raises(ResampleCapExceeded):
         weighted_mkcc_round(
             sys_, GreedyState.fresh(sys_), (1, 1), rng=0, lp_solver=stubborn
         )
+    assert len(draws) == resample_cap(sys_.n)
+
+
+def test_weighted_round_rejects_empty_state_before_short_pool():
+    sys_ = weighted_instance(0)
+    done = GreedyState.fresh(sys_)
+    done.uncovered = 0
+    with pytest.raises(ValueError):
+        weighted_mkcc_round(sys_, done, (1, 1), rng=0)
+    with pytest.raises(InsufficientColor):
+        weighted_mkcc_round(sys_, GreedyState.fresh(sys_), (1, sys_.n + 1), rng=0)
+    # Both at once: the relaxation builder checks emptiness first.
+    with pytest.raises(ValueError):
+        weighted_mkcc_round(sys_, done, (1, sys_.n + 1), rng=0)
 
 
 def test_weighted_round_ratio_tie_keeps_smallest_target():
