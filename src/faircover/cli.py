@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
         p.add_argument(
             "--subroutine", choices=("greedy", "lp"),
-            help="per-round engine for gfsc / multicover",
+            help="per-round engine for gfsc (greedy or lp) / multicover (lp only)",
         )
         p.add_argument(
             "--requirements",
@@ -178,6 +178,8 @@ def _run_gfsc(system, spec: FairnessSpec, args, rng) -> Cover:
 
 
 def _run_multicover(system, spec: FairnessSpec, args, rng) -> Cover:
+    if args.subroutine == "greedy":
+        raise ValueError("--subroutine greedy: multicover has no greedy engine; use lp")
     inst = MulticoverInstance(system, _requirements(args, system))
     mode = "mkcc_sub" if args.subroutine == "lp" else "exhaustive"
     return fair_multicover_greedy(inst, spec, mode=mode, rng=rng)[0]

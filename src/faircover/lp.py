@@ -13,7 +13,10 @@ right-hand sides rhs and optional (lo, hi) bounds; float64 arrays are
 adopted without a copy and made read-only. An LpSolution carries the
 optimal point as a read-only float64 array. Every simplex pivot, phase
 one's drive-out of artificials included, goes through one tableau-update
-step (_pivot).
+step (_pivot), which also records the entering column in the basis, the
+one record of which column is basic. It keeps every basic column an exact
+unit vector, so a basic column's reduced cost is exactly 0 and its entries
+exactly 0 or 1, and neither pivot rule can pick it.
 
 solve() has two halves that every path shares: _optimize builds a
 problem's tableau and runs the two phases, and _read turns an optimal
@@ -183,31 +186,31 @@ _INFEASIBLE = LpSolution("infeasible", _NO_VALUES, math.nan)
 _UNBOUNDED = LpSolution("unbounded", _NO_VALUES, math.nan)
 
 
-def _pivot(T: np.ndarray, leave: int, enter: int) -> None:
-    """Make column enter basic in row leave. Row leave is divided by the
-    pivot and every other row r loses T[r, enter] times that row; the leave
-    row's own update is discarded and overwritten."""
+def _pivot(T: np.ndarray, basis: np.ndarray, leave: int, enter: int) -> None:
+    """Make column enter basic in row leave and set basis[leave] = enter:
+    divide row leave by the pivot and subtract T[r, enter] times it from
+    every other row r. Basic columns stay exact unit vectors: enter's gets
+    x / x = 1 and T[r, enter] - T[r, enter] * 1 = 0, and every other one
+    has an exact 0 in row leave, so each row subtracts T[r, enter] * 0."""
     prow = T[leave] / T[leave, enter]
     T -= T[:, enter, None] * prow
     T[leave] = prow
+    basis[leave] = enter
 
 
 def _pivot_loop(T: np.ndarray, basis: np.ndarray, cost: np.ndarray, budget: int) -> str:
-    """Run Bland-rule simplex pivots on tableau T and basis (an intp array,
-    one basic column per row) in place.
-
-    T is m x (ncols+1) with the rhs in the last column and b >= 0 maintained
-    throughout. Returns 'optimal' or 'unbounded'. The reduced costs are
+    """Run Bland-rule simplex pivots in place on tableau T, m x (ncols+1)
+    with the rhs in the last column and b >= 0 maintained throughout, and
+    basis, an intp array whose column basis[r] is the exact unit vector e_r
+    (see _pivot). Returns 'optimal' or 'unbounded'. The reduced costs are
     recomputed from cost on every pivot rather than carried as a tableau
-    row, so rounding never accumulates in them.
-    """
+    row, so rounding never accumulates in them."""
     ncols = T.shape[1] - 1
-    nonbasic = np.ones(ncols, dtype=bool)
-    nonbasic[basis] = False
     for _ in range(budget):
+        # A basic column's reduced cost is cost[j] - cost[j] * 1 = 0: never eligible.
         reduced = cost - cost[basis] @ T[:, :ncols]
-        # Bland: the smallest-index improving nonbasic column enters.
-        eligible = (reduced < -_PIVOT_TOL) & nonbasic
+        # Bland: the smallest-index improving column enters.
+        eligible = reduced < -_PIVOT_TOL
         enter = int(eligible.argmax())
         if not eligible[enter]:
             return "optimal"
@@ -219,10 +222,7 @@ def _pivot_loop(T: np.ndarray, basis: np.ndarray, cost: np.ndarray, budget: int)
         # Bland tie-break: among minimizing rows leave the smallest basic index.
         tied = rows[ratios <= ratios.min() + _PIVOT_TOL]
         leave = int(tied[basis[tied].argmin()])
-        _pivot(T, leave, enter)
-        nonbasic[basis[leave]] = True
-        nonbasic[enter] = False
-        basis[leave] = enter
+        _pivot(T, basis, leave, enter)
     raise NumericalFailure(f"pivot budget {budget} exhausted")
 
 
@@ -245,30 +245,26 @@ def _dual_pivot_loop(T: np.ndarray, basis: np.ndarray, cost: np.ndarray, budget:
     rhs is nonnegative again.
 
     The leaving row is the negative-rhs row with the smallest basic index;
-    the entering column is the nonbasic one with a negative entry in that
-    row and the least reduced / |entry|, ties to the smallest index.
-    Returns 'optimal' once the rhs is feasible again, or 'infeasible' when
-    a negative row has no negative entry to pivot on. Reduced costs are
-    recomputed from cost on every pivot, as in _pivot_loop.
+    the entering column has a negative entry in that row and the least
+    reduced / |entry|, ties to the smallest index. Returns 'optimal' once
+    the rhs is feasible again, or 'infeasible' when a negative row has no
+    negative entry to pivot on. As in _pivot_loop, column basis[r] must be
+    the exact unit vector e_r.
     """
     ncols = T.shape[1] - 1
-    nonbasic = np.ones(ncols, dtype=bool)
-    nonbasic[basis] = False
     for _ in range(budget):
         short = (T[:, ncols] < -_PIVOT_TOL).nonzero()[0]
         if short.size == 0:
             return "optimal"
         leave = int(short[basis[short].argmin()])
         row = T[leave, :ncols]
-        cols = ((row < -_PIVOT_TOL) & nonbasic).nonzero()[0]
+        # A basic column's entry is exactly 0 or 1 (see _pivot), never negative.
+        cols = (row < -_PIVOT_TOL).nonzero()[0]
         if cols.size == 0:
             return "infeasible"
         ratios = (cost[cols] - cost[basis] @ T[:, cols]) / -row[cols]
         enter = int(cols[(ratios <= ratios.min() + _PIVOT_TOL).argmax()])
-        _pivot(T, leave, enter)
-        nonbasic[basis[leave]] = True
-        nonbasic[enter] = False
-        basis[leave] = enter
+        _pivot(T, basis, leave, enter)
     raise NumericalFailure(f"dual pivot budget {budget} exhausted")
 
 
@@ -289,6 +285,9 @@ def solve(problem: LpProblem) -> LpSolution:
     recomputes the objective from the original coefficients.
     """
     if problem.num_vars == 0:
+        # Every row reads 0 (relation) rhs, so the rows alone decide.
+        if _violated(problem, -problem.rhs, 0.0).size:
+            return _INFEASIBLE
         return LpSolution("optimal", _NO_VALUES, 0.0)
     family = problem._family
     tab = None
@@ -389,8 +388,7 @@ def _optimize(problem: LpProblem) -> tuple[str, _Tableau | None]:
         for i in np.flatnonzero(basis >= first_art):
             options = np.flatnonzero(np.abs(T[i, :first_art]) > _PIVOT_TOL)
             if options.size:
-                _pivot(T, i, options[0])
-                basis[i] = options[0]
+                _pivot(T, basis, i, options[0])
         # Drop the artificial columns and the rows whose artificial stayed.
         # B^-1 e_last = -T[:, surplus] needs the last row kept.
         keep = basis < first_art
@@ -416,12 +414,7 @@ def _read(problem: LpProblem, tab: _Tableau) -> LpSolution:
     x = problem.bounds[:, 0] + x_shift[: problem.num_vars]
 
     resid = problem.A @ x - problem.rhs
-    rel = np.array(problem.relations, dtype="<U2")
-    violated = np.flatnonzero(
-        ((rel == "=") & (np.abs(resid) > _RESIDUAL_TOL))
-        | ((rel == "<=") & (resid > _RESIDUAL_TOL))
-        | ((rel == ">=") & (resid < -_RESIDUAL_TOL))
-    )
+    violated = _violated(problem, resid, _RESIDUAL_TOL)
     if violated.size:
         idx = violated[0]
         raise NumericalFailure(
@@ -429,6 +422,17 @@ def _read(problem: LpProblem, tab: _Tableau) -> LpSolution:
         )
     x.flags.writeable = False
     return LpSolution("optimal", x, float(problem.objective @ x))
+
+
+def _violated(problem: LpProblem, resid: np.ndarray, tol: float) -> np.ndarray:
+    """Indices of the rows whose residual A x - rhs breaks the row's
+    relation by more than tol."""
+    rel = np.array(problem.relations, dtype="<U2")
+    return np.flatnonzero(
+        ((rel == "=") & (np.abs(resid) > tol))
+        | ((rel == "<=") & (resid > tol))
+        | ((rel == ">=") & (resid < -tol))
+    )
 
 
 def lp_variable_order(

@@ -22,9 +22,9 @@ import numpy as np
 
 from .errors import (
     BudgetExceeded,
-    InsufficientColor,
     NoProgress,
     NumericalFailure,
+    ZeroFractionViolated,
 )
 from .lp import LpSolver, build_mkcc_lp, round_laws, solve
 from .model import Cover, FairnessSpec, SetSystem, check_pools, elements_of, union_of
@@ -115,13 +115,16 @@ def greedy_set_cover(system: SetSystem) -> Cover:
 def _pad_to_quotas(system: SetSystem, spec: FairnessSpec, base: Cover, key=None) -> Cover:
     """base plus one round padding every color up to t * per_round[h], t
     being the fewest rounds whose quotas hold base's group counts. A color
-    pads with its unpicked sets in key order (by id when key is None)."""
+    pads with its unpicked sets in key order (by id when key is None).
+    Raises ZeroFractionViolated when base has a set of a zero-share color."""
     counts = list(base.group_counts) + [0] * (spec.num_colors - len(base.group_counts))
     t = 1
     for h, p in enumerate(spec.per_round):
         if p == 0:
             if counts[h] > 0:
-                raise InsufficientColor(h, 0, 0)
+                raise ZeroFractionViolated(
+                    f"group {h} has target fraction 0 but {counts[h]} selected set(s)"
+                )
             continue
         t = max(t, math.ceil(counts[h] / p))
     picked = set(base.selected)

@@ -255,6 +255,17 @@ def test_subroutine_engines_are_not_refused_on_wide_instances(capsys):
     assert "fairness ratio:   1" in out
 
 
+def test_multicover_has_no_greedy_subroutine(capsys):
+    # Multicover runs lp or exhaustive; a greedy request is refused as input
+    # rather than run as the exhaustive engine.
+    code, out, err = run(
+        capsys, "solve", "--algo", "multicover", "--subroutine", "greedy",
+        "--generator", "synthetic", "--n", "8", "--m", "3",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("input error: --subroutine greedy:")
+
+
 def test_infeasible_fair_cover_exits_3(capsys, tmp_path):
     path = tmp_path / "thin.json"
     save_instance(SetSystem(3, [[0], [1], [2]], [0, 0, 1]), path)

@@ -63,6 +63,29 @@ def test_unbounded_detected_with_open_bounds():
     assert solve(lp2).status == "unbounded"
 
 
+@pytest.mark.parametrize(
+    "relation, rhs, status",
+    [
+        ("<=", -1.0, "infeasible"), ("<=", 0.0, "optimal"), ("<=", 1.0, "optimal"),
+        (">=", -1.0, "optimal"), (">=", 0.0, "optimal"), (">=", 1.0, "infeasible"),
+        ("=", -1.0, "infeasible"), ("=", 0.0, "optimal"), ("=", 1.0, "infeasible"),
+    ],
+)
+def test_problem_without_variables_is_decided_by_its_rows(relation, rhs, status):
+    # Every row reads 0 (relation) rhs; a second row that holds changes nothing.
+    for sense in ("min", "max"):
+        for rows, rels, b in (([[]], [relation], [rhs]),
+                              ([[], []], ["<=", relation], [0.0, rhs])):
+            sol = solve(LpProblem(sense, [], np.zeros((len(rows), 0)), rels, b))
+            assert sol.status == status
+            assert sol.values.size == 0
+            if status == "optimal":
+                assert sol.objective == 0.0
+            else:
+                assert math.isnan(sol.objective)
+    assert solve(LpProblem("min", [], [], [], [])).status == "optimal"
+
+
 def test_arrays_are_adopted_read_only():
     # Float64 arrays become the problem's own without a copy; solve() hands
     # back the optimal point as a read-only float64 array.

@@ -5,11 +5,14 @@ bound the best integral round, and multicover prices that sum to the cover."""
 
 import math
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from faircover import lp
 from faircover.errors import AllTuplesZeroCoverage, FairCoverError, InsufficientColor
 from faircover.generalized import gfsc, gfwsc
 from faircover.lp import LpProblem, build_mkcc_lp, build_weighted_mkcc_lp, solve
@@ -192,10 +195,10 @@ def test_warm_target_sweep_matches_cold_solves(case, data):
 @st.composite
 def small_lps(draw):
     """(sense, objective, A, relations, rhs, bounds) of a random LP with at
-    most 3 variables and 3 rows: any relation on any row, rhs of either
-    sign, lower bounds off zero, and upper bounds equal to the lower bound,
-    above it or absent."""
-    nvar = draw(st.integers(1, 3))
+    most 3 variables (possibly none) and 1 to 3 rows: any relation on any
+    row, rhs of either sign, lower bounds off zero, and upper bounds equal
+    to the lower bound, above it or absent."""
+    nvar = draw(st.integers(0, 3))
     m = draw(st.integers(1, 3))
     ints = st.integers(-2, 2).map(float)
     A = [draw(st.lists(ints, min_size=nvar, max_size=nvar)) for _ in range(m)]
@@ -214,17 +217,36 @@ def small_lps(draw):
 def test_raised_last_row_targets_match_cold_solves(parts):
     # Any LP re-targeted with the last rhs raised one step at a time gets the
     # status and objective of a fresh cold solve, whatever the last row's
-    # relation and sign, whether or not solve() resumes them.
+    # relation and sign, whether or not solve() resumes them. Every cold
+    # tableau, and the family's kept tableau after each step, has exact unit
+    # vectors as basic columns: the pivot rules rely on it to skip them.
     sense, objective, A, relations, rhs, bounds = parts
     first = LpProblem(sense, objective, A, relations, rhs, bounds)
+    real = lp._optimize
+
+    def checked(problem):
+        status, tab = real(problem)
+        if tab is not None:
+            assert_unit_basis(tab)
+        return status, tab
+
     triples = []
-    for step in range(4):
-        raised = list(rhs)
-        raised[-1] += step
-        warm = solve(first.retarget(raised[-1]))
-        cold = solve(LpProblem(sense, objective, A, relations, raised, bounds))
-        triples.append((raised[-1], warm, cold))
+    with mock.patch.object(lp, "_optimize", checked):
+        for step in range(4):
+            raised = list(rhs)
+            raised[-1] += step
+            warm = solve(first.retarget(raised[-1]))
+            kept = first._family[1]
+            if kept is not None:
+                assert_unit_basis(kept)
+            cold = solve(LpProblem(sense, objective, A, relations, raised, bounds))
+            triples.append((raised[-1], warm, cold))
     assert_sweeps_agree(triples)
+
+
+def assert_unit_basis(tab):
+    """Column basis[r] of tab is exactly e_r, with no tolerance."""
+    assert np.array_equal(tab.T[:, tab.basis], np.eye(len(tab.basis)))
 
 
 @settings(max_examples=40, deadline=None)

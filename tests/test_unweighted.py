@@ -12,6 +12,7 @@ from faircover.errors import (
     BudgetExceeded,
     InsufficientColor,
     NoProgress,
+    ZeroFractionViolated,
 )
 from faircover.io_generators import gen_synthetic
 from faircover.lp import LpProblem, LpSolution, build_mkcc_lp, solve
@@ -123,6 +124,16 @@ def test_naive_insufficient_padding_sets():
     sys_ = SetSystem(4, [[0, 1], [2, 3], [0]], [0, 0, 1])
     with pytest.raises(InsufficientColor):
         naive_fsc(sys_, SPEC2)
+
+
+@pytest.mark.parametrize("naive", [naive_fsc, naive_wfsc])
+def test_naive_greedy_pick_of_a_zero_share_color_is_a_zero_fraction_error(naive):
+    # Greedy needs set 2, the only blue set, but blue's share is 0: no
+    # padding can make that cover fair, and no color is short of sets.
+    sys_ = SetSystem(2, [[0], [1], [0, 1]], [0, 0, 1])
+    with pytest.raises(ZeroFractionViolated,
+                       match=r"^group 1 has target fraction 0 but 1 selected set\(s\)$"):
+        naive(sys_, FairnessSpec([1, 0]))
 
 
 # -------------------------------------------------------------- greedy_allpick
