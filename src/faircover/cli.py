@@ -2,8 +2,9 @@
 
 Two commands: solve runs one algorithm on one instance and emits a report
 record; compare runs several algorithms over seeded generator trials and
-emits per-algorithm summary rows. Exit codes: 0 success, 2 bad input or a
-refused exhaustive enumeration, 3 an algorithm that started and failed.
+emits per-algorithm summary rows. Exit codes: 0 success, 1 a report that
+could not be written (a closed stdout or an unwritable --out), 2 bad input
+or a refused exhaustive enumeration, 3 an algorithm that started and failed.
 """
 
 from __future__ import annotations
@@ -107,8 +108,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(text: str, out: Path | None) -> None:
+    # Flushed here, so a closed stdout fails inside main's handlers.
     if out is None:
-        print(text)
+        print(text, flush=True)
     else:
         out.write_text(text + "\n")
 
@@ -117,7 +119,10 @@ def _load_system(args) -> "SetSystem":
     if (args.instance is None) == (args.generator is None):
         raise ValueError("provide exactly one of --instance or --generator")
     if args.instance is not None:
-        return load_instance(args.instance, format=args.format)
+        try:
+            return load_instance(args.instance, format=args.format)
+        except OSError as exc:
+            raise ValueError(f"--instance: {exc}") from None
     if args.generator == "synthetic":
         weight_dist = ("uniform", 1.0, 8.0) if args.weights == "uniform" else None
         return gen_synthetic(
@@ -158,6 +163,8 @@ def _requirements(args, system) -> tuple[int, ...]:
     except ValueError:
         try:
             reqs = json.loads(Path(args.requirements).read_text())
+        except OSError as exc:
+            raise ValueError(f"--requirements: {exc}") from None
         except RecursionError:
             reqs = None
         if not isinstance(reqs, list) or not all(_is_int(r) for r in reqs):
@@ -178,8 +185,6 @@ def _run_gfsc(system, spec: FairnessSpec, args, rng) -> Cover:
 
 
 def _run_multicover(system, spec: FairnessSpec, args, rng) -> Cover:
-    if args.subroutine == "greedy":
-        raise ValueError("--subroutine greedy: multicover has no greedy engine; use lp")
     inst = MulticoverInstance(system, _requirements(args, system))
     mode = "mkcc_sub" if args.subroutine == "lp" else "exhaustive"
     return fair_multicover_greedy(inst, spec, mode=mode, rng=rng)[0]
@@ -204,6 +209,25 @@ _RUNNERS = {
     ),
 }
 ALGORITHMS = tuple(_RUNNERS)
+# The --subroutine engines of the algorithms that read the flag.
+_SUBROUTINES = {"gfsc": ("greedy", "lp"), "multicover": ("lp",)}
+
+
+def _check_subroutine(algos, args) -> None:
+    """Refuse a --subroutine that some algorithm in algos would not run."""
+    sub = args.subroutine
+    for algo in algos:
+        if sub is None or sub in _SUBROUTINES.get(algo, ()):
+            continue
+        if algo in _SUBROUTINES:
+            raise ValueError(
+                f"--subroutine {sub}: {algo} has no {sub} engine; "
+                f"use {'|'.join(_SUBROUTINES[algo])}"
+            )
+        raise ValueError(
+            f"--subroutine {sub}: {algo} takes no subroutine; "
+            f"only {' and '.join(_SUBROUTINES)} do"
+        )
 
 
 def _run_algorithm(algo: str, system, spec: FairnessSpec, args) -> Cover | None:
@@ -255,6 +279,7 @@ def _format_solve(record: dict, output: str) -> str:
 
 
 def _cmd_solve(args) -> int:
+    _check_subroutine([args.algo], args)
     system = _load_system(args)
     outcome = validate_instance(system)
     if not outcome.ok:
@@ -276,6 +301,7 @@ def _cmd_compare(args) -> int:
     unknown = [a for a in algos if a not in ALGORITHMS]
     if unknown:
         raise ValueError(f"unknown algorithms: {unknown}")
+    _check_subroutine(algos, args)
     if args.generator is None:
         raise ValueError("compare needs --generator (each trial draws a fresh instance)")
     if args.trials < 1:
@@ -386,9 +412,14 @@ def main(argv=None) -> int:
         # engines never enumerate.
         print(f"refused: {exc}; try --algo eff-greedy or eff-lp", file=sys.stderr)
         return 2
-    except (ParseError, OSError, ValueError, json.JSONDecodeError) as exc:
+    except (ParseError, ValueError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        # Input reading reports its OSError as ValueError, so this one came
+        # from writing the report.
+        print(f"output error: {exc}", file=sys.stderr)
+        return 1
     except FairCoverError as exc:
         print(f"algorithm error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
         return 3

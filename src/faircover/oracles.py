@@ -4,18 +4,20 @@ Each oracle enumerates candidates in a fixed order and returns the
 lexicographically smallest optimum, so repeated runs agree bit for bit.
 Sets are scored through their int bitmasks (SetSystem.masks), and quota
 selections come from the algorithms' tuple enumerator under the same
-TUPLE_BUDGET.
+TUPLE_BUDGET. A selection is scored on its OR mask (and, weighted, an
+unsorted weight filter) first; its sorted id tuple is built only when it
+can still tie or beat the best: a full cover, a met multicover demand or
+a round scoring at least the best so far.
 """
 
 from __future__ import annotations
 
-import math
 from itertools import accumulate, combinations
 from typing import Sequence
 
 from .errors import AllTuplesZeroCoverage, BudgetExceeded
-from .model import Cover, FairnessSpec, SetSystem, mask_of
-from .unweighted import _quota_tuples
+from .model import Cover, FairnessSpec, SetSystem, mask_of, union_of
+from .unweighted import _best_candidate, _ids, _positive_weights, _quota_tuples
 
 MAX_SETS_EXACT = 22
 MAX_SETS_EXACT_MULTI = 20
@@ -79,7 +81,7 @@ def opt_fair_cover(
     # bound grows with t only when every weight is positive (NaN fails
     # the test too), so other weights scan every t.
     lightest = None
-    if weighted and all(0.0 < system.weight(i) < math.inf for i in range(mu)):
+    if weighted and _positive_weights(system):
         lightest = [
             list(accumulate(sorted(system.weight(i) for i in g), initial=0.0))
             for g in system.sets_by_color
@@ -92,17 +94,25 @@ def opt_fair_cover(
                 break
         found: tuple[int, ...] | None = None
         counts = [t * p for p in spec.per_round]
-        for sel, acc in _quota_tuples(system.masks, system.sets_by_color, counts):
+        for parts, acc in _quota_tuples(system.masks, system.sets_by_color, counts):
             if acc != full:
                 continue
             if not weighted:
+                sel = _ids(parts)
                 if found is None or sel < found:
                     found = sel
-            else:
-                w = sum(system.weight(i) for i in sel)
-                key = (w, len(sel), sel)
-                if best is None or key < best:
-                    best = key
+                continue
+            # With positive finite weights, a sum in any order is within a
+            # relative few 1e-15 of the sorted-order one, so a candidate past
+            # the margin can neither tie nor beat the best key.
+            if lightest is not None and best is not None and sum(
+                [system.weight(i) for combo, _ in parts for i in combo]
+            ) > best[0] * (1 + 1e-9):
+                continue
+            sel = _ids(parts)
+            key = (sum(system.weight(i) for i in sel), len(sel), sel)
+            if best is None or key < best:
+                best = key
         if not weighted and found is not None:
             return Cover.from_selection(system, found)
     if weighted and best is not None:
@@ -125,24 +135,24 @@ def opt_mkcc(
     lexicographically smallest tuple.
     """
     unc = mask_of(uncovered, system.n)
-    best_key: tuple | None = None
-    best_val: tuple[tuple[int, ...], float] | None = None
-    for ids, mask in _quota_tuples(system.masks, remaining_sets, per_round):
+    tuples = _quota_tuples(system.masks, remaining_sets, per_round)
+    if weighted_ratio:
+        ids = _best_candidate(tuples, unc, system.weight, _positive_weights(system))
+        if ids is None:
+            raise AllTuplesZeroCoverage("no tuple with positive coverage exists")
+        new = (union_of(system.masks, ids) & unc).bit_count()
+        return ids, sum(map(system.weight, ids)) / new
+    best_key: tuple | None = None  # (-new coverage, ids)
+    for parts, mask in tuples:
         new = (mask & unc).bit_count()
-        if weighted_ratio:
-            if new == 0:
-                continue
-            val = sum(system.weight(i) for i in ids) / new
-            key = (val, ids)
-        else:
-            val = float(new)
-            key = (-new, ids)
+        if best_key is not None and -new > best_key[0]:
+            continue
+        key = (-new, _ids(parts))
         if best_key is None or key < best_key:
             best_key = key
-            best_val = (ids, val)
-    if best_val is None:
+    if best_key is None:
         raise AllTuplesZeroCoverage("no tuple with positive coverage exists")
-    return best_val
+    return best_key[1], float(-best_key[0])
 
 
 def opt_fair_multicover(instance, spec: FairnessSpec) -> Cover | None:
@@ -165,14 +175,17 @@ def opt_fair_multicover(instance, spec: FairnessSpec) -> Cover | None:
     for t in _fair_sizes(system, spec):
         found: tuple[int, ...] | None = None
         counts = [t * p for p in spec.per_round]
-        for sel, _ in _quota_tuples(masks, system.sets_by_color, counts):
-            # got[k]: the elements the selection covers more than k times.
+        for parts, _ in _quota_tuples(masks, system.sets_by_color, counts):
+            # got[k]: the elements the selection covers more than k times,
+            # whatever order its sets are read in.
             got = [0] * len(wants)
-            for i in sel:
-                for k in range(len(got) - 1, 0, -1):
-                    got[k] |= got[k - 1] & masks[i]
-                got[0] |= masks[i]
+            for combo, _ in parts:
+                for i in combo:
+                    for k in range(len(got) - 1, 0, -1):
+                        got[k] |= got[k - 1] & masks[i]
+                    got[0] |= masks[i]
             if all(g & w == w for g, w in zip(got, wants)):
+                sel = _ids(parts)
                 if found is None or sel < found:
                     found = sel
         if found is not None:

@@ -88,15 +88,30 @@ def _run_rounds(system: SetSystem, per_round: Sequence[int], pick, stuck, commit
     return state.to_cover(system)
 
 
-def _best_candidate(candidates, uncovered: int, weight=None) -> tuple[int, ...] | None:
-    """The ids of the (ids, mask) candidate covering the most of uncovered
-    or, given weight, the least total weight per new element; ties go to the
-    smallest ids, and None means no candidate covers a new element."""
+def _best_candidate(
+    candidates, uncovered: int, weight=None, positive: bool = False
+) -> tuple[int, ...] | None:
+    """The ids of the (parts, mask) candidate, as _quota_tuples yields them,
+    covering the most of uncovered or, given weight, the least total weight
+    (summed in ascending id order) per new element; ties go to the smallest
+    ids, and None means no candidate covers a new element.
+
+    ids are built only for a candidate that may tie or beat the best so
+    far: without weight, one covering at least as much; with weight and
+    positive (every weight is positive and finite, see _positive_weights),
+    one whose unsorted weight sum per new element is within a relative
+    1e-9 of the best. A sum in any order is then within a relative few
+    1e-15 of the sorted one, so the margin loses no tie."""
     best_ids, best = None, 0
-    for ids, mask in candidates:
+    for parts, mask in candidates:
         new = (mask & uncovered).bit_count()
-        if new == 0:
+        if new == 0 or (weight is None and -new > best):
             continue
+        if positive and best_ids is not None and sum(
+            [weight(i) for combo, _ in parts for i in combo]
+        ) / new > best * (1 + 1e-9):
+            continue
+        ids = _ids(parts)
         score = -new if weight is None else sum(map(weight, ids)) / new
         if score < best or best_ids is None or (score == best and ids < best_ids):
             best_ids, best = ids, score
@@ -107,7 +122,7 @@ def greedy_set_cover(system: SetSystem) -> Cover:
     """Classic greedy: each round takes the set covering the most new
     elements, ignoring colors entirely. Guarantees (ln n + 1) times the
     optimum size but can be arbitrarily lopsided across groups."""
-    sets = [((i,), m) for i, m in enumerate(system.masks)]
+    sets = _singletons(system)
     stuck = NoProgress("uncovered elements remain but no set touches them")
     return _run_rounds(system, (), lambda state: _best_candidate(sets, state.uncovered), stuck)
 
@@ -154,8 +169,11 @@ def _quota_tuples(
     masks: Sequence[int], pools: Sequence[Sequence[int]], counts: Sequence[int]
 ):
     """Every way to take counts[h] ids from pools[h] for each color h, as
-    (ids ascending, OR of their masks). Raises BudgetExceeded, before
-    yielding anything, when there are more than TUPLE_BUDGET ways."""
+    (parts, OR of their masks): parts holds one (combination, its mask) per
+    color with a positive count, and _ids(parts) gives the ascending ids.
+    Callers score the mask first and build ids only for contenders. Raises
+    BudgetExceeded, before yielding anything, when there are more than
+    TUPLE_BUDGET ways."""
     pools = list(pools) + [()] * (len(counts) - len(pools))  # a missing color has no sets
     total = 1
     for pool, c in zip(pools, counts):
@@ -177,7 +195,23 @@ def _quota_tuples(
         mask = 0
         for _, m in parts:
             mask |= m
-        yield tuple(sorted([i for combo, _ in parts for i in combo])), mask
+        yield parts, mask
+
+
+def _ids(parts) -> tuple[int, ...]:
+    """The ascending ids of a _quota_tuples candidate's parts."""
+    return tuple(sorted([i for combo, _ in parts for i in combo]))
+
+
+def _positive_weights(system: SetSystem) -> bool:
+    """Whether every weight is positive and finite (NaN is neither), the
+    guard of every weight filter."""
+    return all(0.0 < system.weight(i) < math.inf for i in range(system.num_sets))
+
+
+def _singletons(system: SetSystem):
+    """Every set as a one-set candidate in _quota_tuples' (parts, mask) shape."""
+    return [((((i,), m),), m) for i, m in enumerate(system.masks)]
 
 
 def best_coverage_tuple(
@@ -217,12 +251,11 @@ def mkcc_greedy(
     working = state.uncovered
     taken: set[int] = set()
     quota_left = list(per_round)
+    sets = _singletons(system)
     # A taken set covers nothing of working, so the argmax never re-takes it.
     while working:
         eligible = (
-            ((i,), system.masks[i])
-            for h, g in enumerate(state.remaining) if quota_left[h] > 0
-            for i in g
+            sets[i] for h, g in enumerate(state.remaining) if quota_left[h] > 0 for i in g
         )
         best = _best_candidate(eligible, working)
         if best is None:

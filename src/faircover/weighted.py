@@ -31,8 +31,10 @@ from .unweighted import (
     _best_candidate,
     _draw,
     _pad_to_quotas,
+    _positive_weights,
     _quota_tuples,
     _run_rounds,
+    _singletons,
     as_rng,
     sample_round_tuple,  # re-exported; the sweep samples through _draw
 )
@@ -75,7 +77,7 @@ def naive_wfsc(system: SetSystem, spec: FairnessSpec) -> Cover:
     element; padding then fills each group's quota with its cheapest
     unpicked sets. Guarantee: k * delta * (ln n + 1) times the optimal
     quota-respecting weight, delta being the weight spread."""
-    sets = [((i,), m) for i, m in enumerate(system.masks)]
+    sets = _singletons(system)
     stuck = AllTuplesZeroCoverage("uncovered elements remain but no set touches them")
     cover = _run_rounds(
         system, (), lambda state: _best_candidate(sets, state.uncovered, system.weight), stuck
@@ -91,9 +93,11 @@ def greedy_weighted_allpick(system: SetSystem, spec: FairnessSpec) -> Cover:
     smallest tuple). Guarantee: delta * (ln n + 1) times the optimal
     quota-respecting weight."""
 
+    positive = _positive_weights(system)
+
     def pick(state: GreedyState) -> tuple[int, ...] | None:
         tuples = _quota_tuples(system.masks, state.remaining, spec.per_round)
-        return _best_candidate(tuples, state.uncovered, system.weight)
+        return _best_candidate(tuples, state.uncovered, system.weight, positive)
 
     stuck = AllTuplesZeroCoverage("every quota tuple covers zero new elements")
     return _run_rounds(system, spec.per_round, pick, stuck)

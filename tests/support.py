@@ -182,6 +182,28 @@ def all_covers(system: SetSystem):
     return out
 
 
+def fair_covers(system: SetSystem, per_round):
+    """The selections of all_covers that hold t * per_round[h] sets of every
+    color h for one t >= 1 (and no set of a color past per_round)."""
+    out = []
+    for sel in all_covers(system):
+        t, rest = divmod(len(sel), sum(per_round))
+        counts = [sum(system.colors[i] == h for i in sel) for h in range(len(per_round))]
+        if t >= 1 and rest == 0 and counts == [t * p for p in per_round]:
+            out.append(sel)
+    return out
+
+
+def lightest_fair_cover(system: SetSystem, per_round):
+    """The least (weight, size, selection) over fair_covers, the weight
+    summed in ascending id order; None when there is no fair cover."""
+    return min(
+        ((sum(system.weight(i) for i in sel), len(sel), sel)
+         for sel in fair_covers(system, per_round)),
+        default=None,
+    )
+
+
 def fresh_state(system: SetSystem):
     from faircover.unweighted import GreedyState
 

@@ -266,6 +266,55 @@ def test_multicover_has_no_greedy_subroutine(capsys):
     assert err.startswith("input error: --subroutine greedy:")
 
 
+@pytest.mark.parametrize("algo", [a for a in ALGORITHMS if a not in ("gfsc", "multicover")])
+def test_subroutine_is_refused_where_no_engine_reads_it(capsys, algo):
+    # Only gfsc and multicover read --subroutine; any other algorithm would
+    # run its own engine and drop the request silently.
+    code, out, err = run(
+        capsys, "solve", "--algo", algo, "--subroutine", "lp",
+        "--generator", "synthetic", "--n", "8", "--m", "3",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith(f"input error: --subroutine lp: {algo} takes no subroutine")
+    code, out, err = run(
+        capsys, "compare", "--algos", f"gfsc,{algo}", "--subroutine", "greedy",
+        "--generator", "synthetic", "--n", "8", "--m", "3", "--trials", "1",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith(f"input error: --subroutine greedy: {algo} takes no subroutine")
+
+
+def test_unwritable_out_is_an_output_error(capsys, inst_path, tmp_path):
+    code, out, err = run(
+        capsys, "solve", "--algo", "sc", "--instance", str(inst_path),
+        "--out", str(tmp_path / "no-such-dir" / "report.txt"),
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("output error:") and "input error" not in err
+
+
+def test_closed_stdout_is_an_output_error(inst_path):
+    # The reader is gone before the report is written, as with `| head -0`.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "faircover.cli", "solve", "--algo", "sc",
+         "--instance", str(inst_path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 1
+    assert err == "output error: [Errno 32] Broken pipe\n"
+
+
+def test_unreadable_requirements_file_is_an_input_error(capsys, tmp_path):
+    code, _, err = run(
+        capsys, "solve", "--algo", "multicover", "--generator", "synthetic",
+        "--n", "8", "--m", "3", "--requirements", str(tmp_path / "missing.json"),
+    )
+    assert code == 2
+    assert err.startswith("input error: --requirements: [Errno 2]")
+
+
 def test_infeasible_fair_cover_exits_3(capsys, tmp_path):
     path = tmp_path / "thin.json"
     save_instance(SetSystem(3, [[0], [1], [2]], [0, 0, 1]), path)

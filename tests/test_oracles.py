@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from faircover import oracles, unweighted
 from faircover.errors import BudgetExceeded
 from faircover.io_generators import gen_synthetic
 from faircover.model import FairnessSpec, SetSystem, count_parity
@@ -17,7 +18,7 @@ from faircover.oracles import (
 
 from faircover.unweighted import greedy_allpick, greedy_set_cover
 
-from support import all_covers
+from support import all_covers, fair_covers
 
 
 def square_system(weights=None):
@@ -94,11 +95,34 @@ def test_opt_fair_cover_weighted_can_prefer_more_sets():
     assert small.size == 2
 
 
+def test_unweighted_oracle_builds_ids_only_for_its_optimal_covers(monkeypatch):
+    # Selections are scored on their masks; the sorted ids are built once
+    # per fair cover at the final t (covers first appear there) and never
+    # for a selection that misses an element.
+    built = []
+
+    def counting(parts):
+        ids = unweighted._ids(parts)
+        built.append(ids)
+        return ids
+
+    monkeypatch.setattr(oracles, "_ids", counting)
+    for seed in range(8):
+        k = 2 + seed % 2
+        sys_ = gen_synthetic(8 + seed % 3, 5 if k == 2 else 4, k,
+                             coverage_dist=("uniform", 0.3), seed=seed)
+        built.clear()
+        cover = opt_fair_cover(sys_, count_parity(k))
+        finals = [sel for sel in fair_covers(sys_, (1,) * k) if len(sel) == cover.size]
+        assert sorted(built) == finals, seed
+    built.clear()
+    assert opt_fair_cover(SetSystem(2, [[0], [0]], [0, 1]), count_parity(2)) is None
+    assert built == []
+
+
 def scanned_round_counts(monkeypatch, sys_, spec):
     """The per-color counts of every round count t the weighted oracle
     enumerates, and its cover."""
-    import faircover.oracles as oracles
-
     seen = []
     real = oracles._quota_tuples
 

@@ -9,35 +9,49 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from faircover import lp
 from faircover.errors import AllTuplesZeroCoverage, FairCoverError, InsufficientColor
 from faircover.generalized import gfsc, gfwsc
 from faircover.lp import LpProblem, build_mkcc_lp, build_weighted_mkcc_lp, solve
-from faircover.model import FairnessSpec, SetSystem, count_parity, fairness_report
+from faircover.model import FairnessSpec, SetSystem, count_parity, fairness_report, mask_of
 from faircover.multicover import (
     MulticoverInstance,
     audit_price_identity,
     fair_multicover_greedy,
 )
 from faircover.oracles import opt_fair_cover, opt_mkcc
-from faircover.unweighted import eff_fsc, greedy_allpick, greedy_set_cover, naive_fsc
+from faircover.unweighted import (
+    _best_candidate,
+    _quota_tuples,
+    eff_fsc,
+    greedy_allpick,
+    greedy_set_cover,
+    naive_fsc,
+)
 from faircover.weighted import eff_wfsc, greedy_weighted_allpick, naive_wfsc
 
-from support import assert_sweeps_agree, lightest_tuple_weight, warm_and_cold_sweep
+from support import (
+    assert_sweeps_agree,
+    brute_best_tuple,
+    brute_quota_tuples,
+    lightest_fair_cover,
+    lightest_tuple_weight,
+    warm_and_cold_sweep,
+)
 
 
 @st.composite
-def instances(draw):
+def instances(draw, max_sets=16):
     """(system, spec, seed): n <= 10, up to 3 colors each owning a set, at
-    most 16 sets, weights on half the draws, and shares with small
+    most max_sets sets, weights on half the draws, and shares with small
     denominators for the system's colors and maybe one color it lacks (any
     color may get share zero)."""
     n = draw(st.integers(1, 10))
     k = draw(st.integers(1, 3))
-    num = draw(st.integers(k, 16))
+    num = draw(st.integers(k, max_sets))
     sets = draw(st.lists(st.sets(st.integers(0, n - 1), max_size=n), min_size=num,
                          max_size=num))
     colors = list(range(k)) + draw(
@@ -176,6 +190,84 @@ def test_relaxations_bound_the_best_integral_round(case, data):
         sol = solve(build_weighted_mkcc_lp(system, remaining, targets, per_round, tau))
         assert sol.status == "optimal", tau
         assert sol.objective <= lightest + 1e-9 * (1.0 + lightest), tau
+
+
+# Weights whose float sums depend on the order of summation
+# (0.1 + 0.2 + 0.3 != 0.3 + 0.2 + 0.1), so near-ties between candidates
+# test the margin of the oracles' unsorted weight filters.
+ORDER_SENSITIVE_WEIGHTS = st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.0])
+
+
+@st.composite
+def order_sensitive_instances(draw, max_sets=16):
+    """instances() with every weight drawn from ORDER_SENSITIVE_WEIGHTS."""
+    system, spec, seed = draw(instances(max_sets))
+    weights = draw(st.lists(ORDER_SENSITIVE_WEIGHTS, min_size=system.num_sets,
+                            max_size=system.num_sets))
+    return SetSystem(system.n, system.sets, system.colors, weights), spec, seed
+
+
+# Each of the four fair covers weighs 0.3 + 0.2 + 0.1 = 0.6 in id order,
+# and (0, 1, 4) weighs 0.1 + 0.2 + 0.3 = 0.6000000000000001 color by color
+# but is enumerated after (0, 3, 5): a weight filter without its margin,
+# or one that skips ties, returns (0, 3, 5).
+NEAR_TIE = SetSystem(2, [[], [0], [], [0], [1], [1]], [2, 1, 2, 0, 0, 1],
+                     [0.3, 0.2, 0.3, 0.2, 0.1, 0.1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(order_sensitive_instances(max_sets=10))
+@example((NEAR_TIE, count_parity(3), 0))
+def test_weighted_oracle_matches_the_itertools_reference(case):
+    # The least (weight in ascending id order, size, selection) over every
+    # fair cover, to the bit.
+    system, spec, _ = case
+    best = lightest_fair_cover(system, spec.per_round)
+    cover = opt_fair_cover(system, spec, weighted=True)
+    if best is None:
+        assert cover is None
+    else:
+        assert cover is not None and cover.selected == best[2]
+        assert sum(system.weight(i) for i in cover.selected) == best[0]
+
+
+def assert_best_candidate_matches_reference(system, targets, remaining, per_round):
+    """_best_candidate over the round's quota tuples against brute_best_tuple:
+    the most new coverage, and the least weight (ascending id order) per new
+    element with the filter on and off; ties to the smallest ids, None when
+    no tuple covers a target."""
+    unc = mask_of(targets, system.n)
+    covered = brute_quota_tuples(system, remaining, per_round).values()
+    hits = any(c & set(targets) for c in covered)
+    for weighting in ((), (system.weight, True), (system.weight, False)):
+        got = _best_candidate(_quota_tuples(system.masks, remaining, per_round), unc, *weighting)
+        ratio = bool(weighting)
+        want = brute_best_tuple(system, targets, remaining, per_round, ratio)[1] if hits else None
+        assert got == want, weighting
+
+
+@settings(max_examples=150, deadline=None)
+@given(order_sensitive_instances(), st.data())
+def test_best_candidate_matches_the_itertools_reference(case, data):
+    system, spec, _ = case
+    state = _round_state(system, spec.per_round, data)
+    if state is not None:
+        assert_best_candidate_matches_reference(system, *state, spec.per_round)
+
+
+@pytest.mark.parametrize("system", [
+    # A filter without its margin or skipping ties takes (1, 2, 7), not (2, 6, 7).
+    SetSystem(3, [[2], [0, 1], [], [1], [1, 2], [], [2], [0, 1]], [0, 1, 2, 1, 0, 0, 1, 0],
+              [0.3, 0.1, 0.2, 0.2, 1.0, 1.0, 0.3, 0.1]),
+    # Skipping coverage ties takes (2, 7), enumerated first, not (1, 5).
+    SetSystem(4, [[], [], [1, 2, 3], [], [], [0, 1, 2, 3], [0, 1, 2], [0, 2, 3], [3], [3], []],
+              [0, 1, 0, 1, 1, 0, 0, 1, 0, 0, 1],
+              [0.3, 1.0, 0.7, 1.0, 0.7, 1.0, 0.2, 0.2, 0.1, 0.3, 0.7]),
+])
+def test_best_candidate_keeps_near_ties(system):
+    remaining = [list(g) for g in system.sets_by_color]
+    per_round = count_parity(system.num_colors).per_round
+    assert_best_candidate_matches_reference(system, list(range(system.n)), remaining, per_round)
 
 
 @settings(max_examples=40, deadline=None)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from faircover import unweighted
 from faircover.errors import BudgetExceeded
 from faircover.model import SetSystem
-from faircover.unweighted import GreedyState, _quota_tuples
+from faircover.unweighted import GreedyState, _ids, _quota_tuples
 
 from support import brute_quota_tuples
 
@@ -50,9 +50,14 @@ def test_quota_tuples_match_itertools_reference(data):
                 next(tuples)
             return
         got = list(tuples)
-    assert len(got) == len(ref)
-    assert all(list(ids) == sorted(ids) for ids, _ in got)
-    assert dict(got) == {ids: _bits(elems) for ids, elems in ref.items()}
+    # Each part is one combination with the bits its sets cover in [0, n).
+    for parts, _ in got:
+        for combo, m in parts:
+            assert m == _bits({e for i in combo for e in sys_.sets[i] if 0 <= e < sys_.n})
+    ids_to_mask = [(_ids(parts), mask) for parts, mask in got]
+    assert len(ids_to_mask) == len(ref)
+    assert all(list(ids) == sorted(ids) for ids, _ in ids_to_mask)
+    assert dict(ids_to_mask) == {ids: _bits(elems) for ids, elems in ref.items()}
 
 
 @settings(max_examples=300, deadline=None)
