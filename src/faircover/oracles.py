@@ -4,20 +4,22 @@ Each oracle enumerates candidates in a fixed order and returns the
 lexicographically smallest optimum, so repeated runs agree bit for bit.
 Sets are scored through their int bitmasks (SetSystem.masks), and quota
 selections come from the algorithms' tuple enumerator under the same
-TUPLE_BUDGET. A selection is scored on its OR mask (and, weighted, an
-unsorted weight filter) first; its sorted id tuple is built only when it
-can still tie or beat the best: a full cover, a met multicover demand or
-a round scoring at least the best so far.
+TUPLE_BUDGET. A selection is scored on its OR mask (and, in the weighted
+cover oracle, an unsorted weight filter) first; its sorted id tuple is
+built only when it can still tie or beat the best: a full cover, a met
+multicover demand, or a round covering at least as much as the best so
+far (a ratio round builds ids for every tuple covering something).
 """
 
 from __future__ import annotations
 
+import math
 from itertools import accumulate, combinations
 from typing import Sequence
 
 from .errors import AllTuplesZeroCoverage, BudgetExceeded
 from .model import Cover, FairnessSpec, SetSystem, mask_of, union_of
-from .unweighted import _best_candidate, _ids, _positive_weights, _quota_tuples
+from .unweighted import _best_candidate, _ids, _quota_tuples
 
 MAX_SETS_EXACT = 22
 MAX_SETS_EXACT_MULTI = 20
@@ -81,7 +83,7 @@ def opt_fair_cover(
     # bound grows with t only when every weight is positive (NaN fails
     # the test too), so other weights scan every t.
     lightest = None
-    if weighted and _positive_weights(system):
+    if weighted and all(0.0 < system.weight(i) < math.inf for i in range(mu)):
         lightest = [
             list(accumulate(sorted(system.weight(i) for i in g), initial=0.0))
             for g in system.sets_by_color
@@ -130,29 +132,18 @@ def opt_mkcc(
     """Best single quota round by exhaustive tuple enumeration.
 
     Default objective: maximize newly covered elements. With weighted_ratio,
-    minimize total weight per newly covered element, skipping tuples that
-    cover nothing. Returns (ids ascending, objective value); ties prefer the
-    lexicographically smallest tuple.
+    minimize total weight per newly covered element. Either way tuples that
+    cover nothing are skipped, and AllTuplesZeroCoverage is raised when no
+    tuple covers a new element. Returns (ids ascending, objective value);
+    ties prefer the lexicographically smallest tuple.
     """
     unc = mask_of(uncovered, system.n)
-    tuples = _quota_tuples(system.masks, remaining_sets, per_round)
-    if weighted_ratio:
-        ids = _best_candidate(tuples, unc, system.weight, _positive_weights(system))
-        if ids is None:
-            raise AllTuplesZeroCoverage("no tuple with positive coverage exists")
-        new = (union_of(system.masks, ids) & unc).bit_count()
-        return ids, sum(map(system.weight, ids)) / new
-    best_key: tuple | None = None  # (-new coverage, ids)
-    for parts, mask in tuples:
-        new = (mask & unc).bit_count()
-        if best_key is not None and -new > best_key[0]:
-            continue
-        key = (-new, _ids(parts))
-        if best_key is None or key < best_key:
-            best_key = key
-    if best_key is None:
+    weight = system.weight if weighted_ratio else None
+    ids = _best_candidate(_quota_tuples(system.masks, remaining_sets, per_round), unc, weight)
+    if ids is None:
         raise AllTuplesZeroCoverage("no tuple with positive coverage exists")
-    return best_key[1], float(-best_key[0])
+    new = (union_of(system.masks, ids) & unc).bit_count()
+    return ids, (sum(map(system.weight, ids)) / new if weighted_ratio else float(new))
 
 
 def opt_fair_multicover(instance, spec: FairnessSpec) -> Cover | None:

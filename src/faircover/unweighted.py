@@ -88,28 +88,17 @@ def _run_rounds(system: SetSystem, per_round: Sequence[int], pick, stuck, commit
     return state.to_cover(system)
 
 
-def _best_candidate(
-    candidates, uncovered: int, weight=None, positive: bool = False
-) -> tuple[int, ...] | None:
+def _best_candidate(candidates, uncovered: int, weight=None) -> tuple[int, ...] | None:
     """The ids of the (parts, mask) candidate, as _quota_tuples yields them,
     covering the most of uncovered or, given weight, the least total weight
     (summed in ascending id order) per new element; ties go to the smallest
-    ids, and None means no candidate covers a new element.
-
-    ids are built only for a candidate that may tie or beat the best so
-    far: without weight, one covering at least as much; with weight and
-    positive (every weight is positive and finite, see _positive_weights),
-    one whose unsorted weight sum per new element is within a relative
-    1e-9 of the best. A sum in any order is then within a relative few
-    1e-15 of the sorted one, so the margin loses no tie."""
+    ids, and None means no candidate covers a new element. Without weight,
+    ids are built only for a candidate covering at least as much as the
+    best so far."""
     best_ids, best = None, 0
     for parts, mask in candidates:
         new = (mask & uncovered).bit_count()
         if new == 0 or (weight is None and -new > best):
-            continue
-        if positive and best_ids is not None and sum(
-            [weight(i) for combo, _ in parts for i in combo]
-        ) / new > best * (1 + 1e-9):
             continue
         ids = _ids(parts)
         score = -new if weight is None else sum(map(weight, ids)) / new
@@ -201,12 +190,6 @@ def _quota_tuples(
 def _ids(parts) -> tuple[int, ...]:
     """The ascending ids of a _quota_tuples candidate's parts."""
     return tuple(sorted([i for combo, _ in parts for i in combo]))
-
-
-def _positive_weights(system: SetSystem) -> bool:
-    """Whether every weight is positive and finite (NaN is neither), the
-    guard of every weight filter."""
-    return all(0.0 < system.weight(i) < math.inf for i in range(system.num_sets))
 
 
 def _singletons(system: SetSystem):

@@ -31,7 +31,6 @@ from .unweighted import (
     _best_candidate,
     _draw,
     _pad_to_quotas,
-    _positive_weights,
     _quota_tuples,
     _run_rounds,
     _singletons,
@@ -93,11 +92,9 @@ def greedy_weighted_allpick(system: SetSystem, spec: FairnessSpec) -> Cover:
     smallest tuple). Guarantee: delta * (ln n + 1) times the optimal
     quota-respecting weight."""
 
-    positive = _positive_weights(system)
-
     def pick(state: GreedyState) -> tuple[int, ...] | None:
         tuples = _quota_tuples(system.masks, state.remaining, spec.per_round)
-        return _best_candidate(tuples, state.uncovered, system.weight, positive)
+        return _best_candidate(tuples, state.uncovered, system.weight)
 
     stuck = AllTuplesZeroCoverage("every quota tuple covers zero new elements")
     return _run_rounds(system, spec.per_round, pick, stuck)

@@ -270,18 +270,31 @@ def test_multicover_has_no_greedy_subroutine(capsys):
 def test_subroutine_is_refused_where_no_engine_reads_it(capsys, algo):
     # Only gfsc and multicover read --subroutine; any other algorithm would
     # run its own engine and drop the request silently.
+    synthetic = ("--generator", "synthetic", "--n", "8", "--m", "3")
+    code, out, err = run(capsys, "solve", "--algo", algo, "--subroutine", "lp", *synthetic)
+    assert code == 2 and out == ""
+    assert err.startswith(f"input error: --subroutine lp: {algo} accepts none")
     code, out, err = run(
-        capsys, "solve", "--algo", algo, "--subroutine", "lp",
-        "--generator", "synthetic", "--n", "8", "--m", "3",
+        capsys, "compare", "--algos", algo, "--subroutine", "greedy", *synthetic, "--trials", "1"
     )
     assert code == 2 and out == ""
-    assert err.startswith(f"input error: --subroutine lp: {algo} takes no subroutine")
+    assert err.startswith(f"input error: --subroutine greedy: {algo} accepts none")
+    # Beside gfsc, the flag sets gfsc's engine and the other algorithm runs
+    # its own.
     code, out, err = run(
-        capsys, "compare", "--algos", f"gfsc,{algo}", "--subroutine", "greedy",
+        capsys, "compare", "--algos", f"gfsc,{algo}", "--subroutine", "greedy", *synthetic,
+        "--trials", "1",
+    )
+    assert code == 0 and err == ""
+
+
+def test_compare_refuses_an_engine_a_listed_reader_lacks(capsys):
+    code, out, err = run(
+        capsys, "compare", "--algos", "gfsc,multicover,sc", "--subroutine", "greedy",
         "--generator", "synthetic", "--n", "8", "--m", "3", "--trials", "1",
     )
     assert code == 2 and out == ""
-    assert err.startswith(f"input error: --subroutine greedy: {algo} takes no subroutine")
+    assert err.startswith("input error: --subroutine greedy: multicover accepts lp")
 
 
 def test_unwritable_out_is_an_output_error(capsys, inst_path, tmp_path):
