@@ -144,7 +144,7 @@ def _fraction(flag: str, text: str) -> Fraction:
 
 
 def _make_spec(args, system) -> FairnessSpec:
-    if args.fractions:
+    if args.fractions is not None:
         parts = [_fraction("--fractions", part) for part in args.fractions.split(",")]
         if len(parts) != system.num_colors:
             raise ValueError(
@@ -175,7 +175,7 @@ def _requirements(args, system) -> tuple[int, ...]:
 
 def _run_gfsc(system, spec: FairnessSpec, args, rng) -> Cover:
     mode = {"greedy": "greedy_sub", "lp": "lp_sub"}.get(args.subroutine, "exhaustive")
-    if args.epsilon:
+    if args.epsilon is not None:
         band = EpsilonSpec(spec, _fraction("--epsilon", args.epsilon))
         cover, audit = epsilon_gfsc(system, band, mode=mode, rng=rng)
         if not audit.ok:
@@ -209,17 +209,26 @@ _RUNNERS = {
     ),
 }
 ALGORITHMS = tuple(_RUNNERS)
-# The --subroutine engines of the algorithms that read the flag.
-_SUBROUTINES = {"gfsc": ("greedy", "lp"), "multicover": ("lp",)}
+# The optional flags each algorithm reads; --subroutine maps to its engines.
+_READS = {
+    "gfsc": {"subroutine": ("greedy", "lp"), "epsilon": None},
+    "multicover": {"subroutine": ("lp",), "requirements": None},
+}
 
 
-def _check_subroutine(algos, args) -> None:
-    """Refuse a --subroutine that an algorithm in algos has no engine for."""
-    sub = args.subroutine
-    for algo in algos:
-        if sub and sub not in _SUBROUTINES.get(algo, ()):
-            accepts = "|".join(_SUBROUTINES.get(algo, ())) or "none"
-            raise ValueError(f"--subroutine {sub}: {algo} accepts {accepts}")
+def _check_flags(algos, args) -> None:
+    """Refuse a flag that would be dropped silently. Each flag given is
+    checked against the algorithms in algos that read it, or all of them
+    when none does, so compare may set gfsc's engine beside algorithms
+    without one; --subroutine is also checked against each reader's engines."""
+    for flag in ("subroutine", "epsilon", "requirements"):
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        for algo in [a for a in algos if flag in _READS.get(a, {})] or algos:
+            accepts = _READS.get(algo, {}).get(flag, ())
+            if accepts is not None and value not in accepts:
+                raise ValueError(f"--{flag} {value}: {algo} accepts {'|'.join(accepts) or 'none'}")
 
 
 def _run_algorithm(algo: str, system, spec: FairnessSpec, args) -> Cover | None:
@@ -271,7 +280,7 @@ def _format_solve(record: dict, output: str) -> str:
 
 
 def _cmd_solve(args) -> int:
-    _check_subroutine([args.algo], args)
+    _check_flags([args.algo], args)
     system = _load_system(args)
     outcome = validate_instance(system)
     if not outcome.ok:
@@ -293,9 +302,7 @@ def _cmd_compare(args) -> int:
     unknown = [a for a in algos if a not in ALGORITHMS]
     if unknown:
         raise ValueError(f"unknown algorithms: {unknown}")
-    # The flag is checked only against the listed algorithms that read it,
-    # so one compare can set gfsc's engine beside algorithms without one.
-    _check_subroutine([a for a in algos if a in _SUBROUTINES] or algos, args)
+    _check_flags(algos, args)
     if args.generator is None:
         raise ValueError("compare needs --generator (each trial draws a fresh instance)")
     if args.trials < 1:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import PCapExceeded
 from .lp import LpSolver, solve
-from .model import Cover, FairnessSpec, SetSystem
+from .model import Cover, FairnessSpec, SetSystem, share_counts
 from .unweighted import as_rng, eff_fsc, greedy_allpick
 from .weighted import eff_wfsc, greedy_weighted_allpick
 
@@ -138,15 +138,17 @@ def epsilon_audit(
     mode: str = "exhaustive",
     n: int | None = None,
 ) -> EpsilonAudit:
-    """Check a cover against the tolerance band around each group's share."""
+    """Check a cover against the tolerance band around each group's share.
+
+    A color the base spec does not name has share zero, so its band is
+    [0, 0] and it fails when the cover holds a set of it; a color the
+    cover's system lacks holds no sets."""
     eps = eps_spec.epsilon
     size = cover.size
-    checks = []
-    for h, f in enumerate(eps_spec.base.fractions):
-        count = cover.group_counts[h] if h < len(cover.group_counts) else 0
-        lo = (1 - eps) * f * size
-        hi = (1 + eps) * f * size
-        checks.append(GroupBandCheck(count, lo, hi))
+    checks = [
+        GroupBandCheck(c, (1 - eps) * f * size, (1 + eps) * f * size)
+        for f, c in share_counts(eps_spec.base, cover)
+    ]
     factor = float(1 + eps) * approx_factor(mode, n if n is not None else 1)
     return EpsilonAudit(tuple(checks), eps, factor)
 

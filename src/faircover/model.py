@@ -6,6 +6,10 @@ set i lives in [0, num_sets). Each set carries a group id ("color") in
 
 All types are frozen after construction and safe to share between
 concurrently running algorithms.
+
+One rule lines a FairnessSpec's colors up with a SetSystem's: a color the
+system lacks has an empty pool (check_pools), and a color the spec does not
+name has share zero (share_counts).
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import zip_longest
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -337,7 +342,8 @@ class FairnessReport:
     """Per-group attainment ratios and their min/max spread.
 
     per_group_ratio[h] is count_h / fractions[h] as an exact rational, or
-    None for groups with a zero target fraction and no selected sets.
+    None for groups with a zero target fraction and no selected sets, over
+    every group the spec names or the system has.
     fairness_ratio = min/max over defined groups, 1 exactly iff every group
     holds exactly its target share of the cover.
     """
@@ -346,27 +352,31 @@ class FairnessReport:
     fairness_ratio: Fraction
 
 
+def share_counts(spec: FairnessSpec, cover: Cover) -> tuple[tuple[Fraction, int], ...]:
+    """(share, count) for every color the spec names or the cover's system
+    has: a color the spec does not name has share zero, and one the system
+    lacks has count zero."""
+    return tuple(zip_longest(spec.fractions, cover.group_counts, fillvalue=0))
+
+
+def quota_counts(spec: FairnessSpec, cover: Cover) -> tuple[tuple[Fraction, int], ...]:
+    """share_counts(spec, cover), after raising ZeroFractionViolated when a
+    color of share zero (one the spec does not name included) holds sets."""
+    pairs = share_counts(spec, cover)
+    for h, (f, c) in enumerate(pairs):
+        if f == 0 and c > 0:
+            raise ZeroFractionViolated(f"group {h} has target fraction 0 but {c} selected set(s)")
+    return pairs
+
+
 def fairness_report(system: SetSystem, spec: FairnessSpec, cover: Cover) -> FairnessReport:
     """Score how evenly a cover honors the group quotas.
 
-    Raises ZeroFractionViolated when a zero-fraction group contributed
-    sets anyway; such covers have no meaningful ratio.
+    A color the spec does not name has share zero, and one the system lacks
+    holds no sets. Raises ZeroFractionViolated when a zero-share group
+    contributed sets anyway; such covers have no meaningful ratio.
     """
-    if spec.num_colors < system.num_colors:
-        raise ValueError(
-            f"spec has {spec.num_colors} groups, system has {system.num_colors}"
-        )
-    counts = list(cover.group_counts) + [0] * (spec.num_colors - len(cover.group_counts))
-    ratios: list[Fraction | None] = []
-    for h, f in enumerate(spec.fractions):
-        if f == 0:
-            if counts[h] > 0:
-                raise ZeroFractionViolated(
-                    f"group {h} has target fraction 0 but {counts[h]} selected set(s)"
-                )
-            ratios.append(None)
-        else:
-            ratios.append(Fraction(counts[h]) / f)
+    ratios = [None if f == 0 else Fraction(c) / f for f, c in quota_counts(spec, cover)]
     defined = [r for r in ratios if r is not None]
     if not defined or max(defined) == 0:
         ratio = Fraction(1)

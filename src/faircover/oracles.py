@@ -43,20 +43,13 @@ def opt_set_cover(system: SetSystem) -> Cover:
     raise BudgetExceeded("universe is not coverable; validate the instance first")
 
 
-def _fair_sizes(system: SetSystem, spec: FairnessSpec):
-    """Yield t while a cover of t rounds is not obviously impossible."""
+def _fair_sizes(system: SetSystem, spec: FairnessSpec) -> range:
+    """The round counts t for which every color h of positive share owns
+    t * per_round[h] sets; since the quotas sum to p, t * p sets exist too."""
     sizes = system.group_sizes
-    t = 1
-    while True:
-        ok = all(
-            t * p <= (sizes[h] if h < len(sizes) else 0)
-            for h, p in enumerate(spec.per_round)
-            if p > 0
-        )
-        if not ok or t * spec.p > system.num_sets:
-            return
-        yield t
-        t += 1
+    return range(1, 1 + min(
+        (sizes[h] if h < len(sizes) else 0) // p for h, p in enumerate(spec.per_round) if p > 0
+    ))
 
 
 def opt_fair_cover(

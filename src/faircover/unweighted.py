@@ -20,14 +20,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    BudgetExceeded,
-    NoProgress,
-    NumericalFailure,
-    ZeroFractionViolated,
-)
+from .errors import BudgetExceeded, NoProgress, NumericalFailure
 from .lp import LpSolver, build_mkcc_lp, round_laws, solve
-from .model import Cover, FairnessSpec, SetSystem, check_pools, elements_of, union_of
+from .model import Cover, FairnessSpec, SetSystem, check_pools, elements_of, quota_counts, union_of
 
 # Refuse any quota-tuple enumeration (exhaustive rounds and the oracles)
 # with more candidate tuples than this.
@@ -121,19 +116,11 @@ def _pad_to_quotas(system: SetSystem, spec: FairnessSpec, base: Cover, key=None)
     being the fewest rounds whose quotas hold base's group counts. A color
     pads with its unpicked sets in key order (by id when key is None).
     Raises ZeroFractionViolated when base has a set of a zero-share color."""
-    counts = list(base.group_counts) + [0] * (spec.num_colors - len(base.group_counts))
-    t = 1
-    for h, p in enumerate(spec.per_round):
-        if p == 0:
-            if counts[h] > 0:
-                raise ZeroFractionViolated(
-                    f"group {h} has target fraction 0 but {counts[h]} selected set(s)"
-                )
-            continue
-        t = max(t, math.ceil(counts[h] / p))
+    quotas = [(int(f * spec.p), c) for f, c in quota_counts(spec, base)]
+    t = max([1] + [math.ceil(c / p) for p, c in quotas if p > 0])
     picked = set(base.selected)
     pools = [sorted((i for i in g if i not in picked), key=key) for g in system.sets_by_color]
-    needs = [t * p - c for p, c in zip(spec.per_round, counts)]
+    needs = [t * p - c for p, c in quotas]
     check_pools(pools, needs)
     pads = [i for pool, need in zip(pools, needs) for i in pool[:need]]
     rounds = list(base.rounds)
@@ -150,7 +137,8 @@ def naive_fsc(system: SetSystem, spec: FairnessSpec) -> Cover:
     group is padded with its lowest-index unpicked sets. The result is a
     quota-exact cover of t*p sets; the guarantee degrades to k(ln n + 1)
     because padding can multiply the greedy size by at most the number of
-    groups."""
+    groups. Raises ZeroFractionViolated when greedy picks a set of a
+    zero-share color, one the spec does not name included."""
     return _pad_to_quotas(system, spec, greedy_set_cover(system))
 
 
@@ -160,10 +148,11 @@ def _quota_tuples(
     """Every way to take counts[h] ids from pools[h] for each color h, as
     (parts, OR of their masks): parts holds one (combination, its mask) per
     color with a positive count, and _ids(parts) gives the ascending ids.
-    Callers score the mask first and build ids only for contenders. Raises
-    BudgetExceeded, before yielding anything, when there are more than
-    TUPLE_BUDGET ways."""
-    pools = list(pools) + [()] * (len(counts) - len(pools))  # a missing color has no sets
+    Callers score the mask first and build ids only for contenders. Raises,
+    before yielding anything, InsufficientColor when a pool is short (see
+    check_pools) and BudgetExceeded when there are more than TUPLE_BUDGET
+    ways."""
+    check_pools(pools, counts)
     total = 1
     for pool, c in zip(pools, counts):
         total *= math.comb(len(pool), c)
@@ -171,8 +160,6 @@ def _quota_tuples(
         raise BudgetExceeded(
             f"{total} candidate tuples exceeds the budget of {TUPLE_BUDGET}"
         )
-    if total == 0:
-        return
     # Each color's combinations carry their union, so a tuple ORs one mask
     # per color rather than one per set.
     choices = [
@@ -203,7 +190,6 @@ def best_coverage_tuple(
     """Exhaustive argmax of new coverage over all quota tuples; ties go to
     the lexicographically smallest tuple, and None means no tuple covers a
     new element."""
-    check_pools(state.remaining, per_round)
     tuples = _quota_tuples(system.masks, state.remaining, per_round)
     return _best_candidate(tuples, state.uncovered)
 
@@ -237,9 +223,7 @@ def mkcc_greedy(
     sets = _singletons(system)
     # A taken set covers nothing of working, so the argmax never re-takes it.
     while working:
-        eligible = (
-            sets[i] for h, g in enumerate(state.remaining) if quota_left[h] > 0 for i in g
-        )
+        eligible = (sets[i] for g, q in zip(state.remaining, quota_left) if q > 0 for i in g)
         best = _best_candidate(eligible, working)
         if best is None:
             break
@@ -247,8 +231,8 @@ def mkcc_greedy(
         taken.add(i)
         working &= ~system.masks[i]
         quota_left[system.colors[i]] -= 1
-    for h, g in enumerate(state.remaining):
-        taken.update([i for i in g if i not in taken][: quota_left[h]])
+    for g, q in zip(state.remaining, quota_left):
+        taken.update([i for i in g if i not in taken][:q])
     return tuple(sorted(taken))
 
 

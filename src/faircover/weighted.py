@@ -75,7 +75,8 @@ def naive_wfsc(system: SetSystem, spec: FairnessSpec) -> Cover:
     The greedy phase picks the set minimizing weight per newly covered
     element; padding then fills each group's quota with its cheapest
     unpicked sets. Guarantee: k * delta * (ln n + 1) times the optimal
-    quota-respecting weight, delta being the weight spread."""
+    quota-respecting weight, delta being the weight spread. Raises
+    ZeroFractionViolated as naive_fsc does."""
     sets = _singletons(system)
     stuck = AllTuplesZeroCoverage("uncovered elements remain but no set touches them")
     cover = _run_rounds(

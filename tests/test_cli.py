@@ -224,6 +224,11 @@ def test_fraction_count_mismatch_exits_2(capsys, tmp_path):
     ("solve", "--epsilon", "1/0"),
     ("compare", "--fractions", "1/0,1"),
     ("compare", "--epsilon", "1/0"),
+    # An empty value is read, and refused, rather than taken as no flag.
+    ("solve", "--fractions", ""),
+    ("solve", "--epsilon", ""),
+    ("compare", "--fractions", ""),
+    ("compare", "--epsilon", ""),
 ])
 def test_zero_denominator_exits_2(capsys, command, flag, value):
     algo = ["--algo", "gfsc"] if command == "solve" else ["--algos", "gfsc", "--trials", "1"]
@@ -284,6 +289,33 @@ def test_subroutine_is_refused_where_no_engine_reads_it(capsys, algo):
     code, out, err = run(
         capsys, "compare", "--algos", f"gfsc,{algo}", "--subroutine", "greedy", *synthetic,
         "--trials", "1",
+    )
+    assert code == 0 and err == ""
+
+
+@pytest.mark.parametrize("flag, value, reader", [
+    ("--epsilon", "1/10", "gfsc"),
+    ("--requirements", "2", "multicover"),
+])
+def test_a_flag_is_refused_where_no_algorithm_reads_it(capsys, flag, value, reader):
+    # --epsilon is read by gfsc alone and --requirements by multicover alone;
+    # any other algorithm would run without it and drop it silently.
+    synthetic = ("--generator", "synthetic", "--n", "8", "--m", "3")
+    for algo in ALGORITHMS:
+        if algo == reader:
+            continue
+        code, out, err = run(capsys, "solve", "--algo", algo, flag, value, *synthetic)
+        assert code == 2 and out == "", algo
+        assert err.startswith(f"input error: {flag} {value}: {algo} accepts none"), algo
+    code, out, err = run(
+        capsys, "compare", "--algos", "sc,allpick", flag, value, *synthetic, "--trials", "1"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith(f"input error: {flag} {value}: sc accepts none")
+    # Beside its reader, the flag reaches the reader and the others run as
+    # they would without it.
+    code, out, err = run(
+        capsys, "compare", "--algos", f"{reader},sc", flag, value, *synthetic, "--trials", "1"
     )
     assert code == 0 and err == ""
 

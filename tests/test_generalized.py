@@ -10,6 +10,7 @@ from faircover.generalized import (
     MODES,
     EpsilonAudit,
     EpsilonSpec,
+    GroupBandCheck,
     approx_factor,
     epsilon_audit,
     epsilon_gfsc,
@@ -155,6 +156,19 @@ def test_epsilon_audit_band_edges_are_inclusive():
     cover = Cover.from_selection(sys_, (0, 1, 2, 3))
     audit = epsilon_audit(cover, EpsilonSpec(SPEC2, "1/2"))
     assert audit.ok  # band is [1, 3] and the counts are exactly 3 and 1
+
+
+def test_epsilon_audit_fails_an_unnamed_color_as_a_zero_share():
+    # Color 2 holds a picked set. Unnamed or named with share zero, its band
+    # is [0, 0], so the audit fails on it alone.
+    sys_ = SetSystem(4, [[0], [1], [2], [3], [0, 1, 2, 3]], [0, 0, 1, 1, 2])
+    cover = Cover.from_selection(sys_, (0, 2, 4))
+    eps = "1/2"
+    unnamed = epsilon_audit(cover, EpsilonSpec(SPEC2, eps))
+    explicit = epsilon_audit(cover, EpsilonSpec(FairnessSpec(["1/2", "1/2", 0]), eps))
+    assert unnamed == explicit
+    assert [g.ok for g in unnamed.per_group] == [True, True, False]
+    assert unnamed.per_group[2] == GroupBandCheck(1, Fraction(0), Fraction(0))
 
 
 def test_epsilon_audit_exact_cover_always_inside_band():

@@ -219,6 +219,17 @@ def test_fairness_report_zero_fraction_group():
         fairness_report(sys_, spec, Cover.from_selection(sys_, [0, 2]))
 
 
+def test_fairness_report_reads_an_unnamed_color_as_share_zero():
+    sys_ = SetSystem(3, [[0], [1], [2]], [0, 1, 2])
+    named = Cover.from_selection(sys_, [0, 1])
+    rep = fairness_report(sys_, count_parity(2), named)
+    assert rep == fairness_report(sys_, FairnessSpec(["1/2", "1/2", 0]), named)
+    assert rep.per_group_ratio == (Fraction(2), Fraction(2), None)
+    assert rep.fairness_ratio == 1
+    with pytest.raises(ZeroFractionViolated, match="group 2 has target fraction 0"):
+        fairness_report(sys_, count_parity(2), Cover.from_selection(sys_, [0, 1, 2]))
+
+
 def test_fairness_report_empty_cover_is_trivially_even():
     sys_ = make_square()
     rep = fairness_report(sys_, count_parity(2), Cover.from_selection(sys_, []))

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from faircover import oracles, unweighted
-from faircover.errors import BudgetExceeded
+from faircover.errors import BudgetExceeded, InsufficientColor
 from faircover.io_generators import gen_synthetic
 from faircover.model import FairnessSpec, SetSystem, count_parity
 from faircover.multicover import MulticoverInstance
@@ -187,6 +187,13 @@ def test_opt_mkcc_weighted_ratio():
     # (1, 3) covers {0, 3, 4, 5} at weight 2, beating (0, 2)'s 5 over 6.
     assert ids == (1, 3)
     assert value == pytest.approx(0.5)
+
+
+def test_opt_mkcc_refuses_a_short_pool_as_every_round_does():
+    # Color 1 has no set left for its quota of one: no tuple exists at all.
+    sys_ = SetSystem(2, [[0], [1]], [0, 1])
+    with pytest.raises(InsufficientColor):
+        opt_mkcc(sys_, [0, 1], [[0], []], (1, 1))
 
 
 def test_opt_mkcc_budget_wall():

@@ -47,8 +47,8 @@ from support import (
 def instances(draw, max_sets=16):
     """(system, spec, seed): n <= 10, up to 3 colors each owning a set, at
     most max_sets sets, weights on half the draws, and shares with small
-    denominators for the system's colors and maybe one color it lacks (any
-    color may get share zero)."""
+    denominators for the system's colors, maybe leaving its last color
+    unnamed or naming one color it lacks (any color may get share zero)."""
     n = draw(st.integers(1, 10))
     k = draw(st.integers(1, 3))
     num = draw(st.integers(k, max_sets))
@@ -61,7 +61,7 @@ def instances(draw, max_sets=16):
         st.none(),
         st.lists(st.floats(0.5, 3.0), min_size=num, max_size=num),
     ))
-    shares = draw(st.lists(st.integers(0, 2), min_size=k, max_size=k + 1).filter(any))
+    shares = draw(st.lists(st.integers(0, 2), min_size=max(1, k - 1), max_size=k + 1).filter(any))
     spec = FairnessSpec([Fraction(c, sum(shares)) for c in shares])
     return SetSystem(n, sets, colors, weights), spec, draw(st.integers(0, 2**16))
 
@@ -101,13 +101,24 @@ def _outcome(run, system, spec, seed):
         return type(exc)
 
 
+def _named(system, spec):
+    """spec with a zero share written out for each color of system it does
+    not name."""
+    return FairnessSpec(spec.fractions + (0,) * (system.num_colors - spec.num_colors))
+
+
 @settings(max_examples=40, deadline=None)
 @given(instances())
+# Greedy's first pick, set 4, has a color the spec does not name.
+@example((SetSystem(4, [[0], [1], [2], [3], [0, 1, 2, 3]], [0, 0, 1, 1, 2]), count_parity(2), 0))
 def test_every_algorithm_covers_fairly_or_fails_typed_and_repeats(case):
     system, spec, seed = case
+    named = _named(system, spec)
     for name, run in ALGORITHMS.items():
         got = _outcome(run, system, spec, seed)
         assert _outcome(run, system, spec, seed) == got, name
+        if named != spec:
+            assert _outcome(run, system, named, seed) == got, name
         if isinstance(got, type):
             continue
         assert fairness_report(system, spec, got).fairness_ratio == 1, name
@@ -131,6 +142,14 @@ def test_a_color_the_system_lacks_has_an_empty_pool():
         assert run(system, FairnessSpec([1, 0]), 0).selected == (0, 1), name
     assert opt_fair_cover(system, count_parity(2)) is None
     assert opt_fair_cover(system, FairnessSpec([1, 0])).selected == (0, 1)
+    # The mirror: a color the spec does not name has share zero, so each
+    # run is the run with that zero share written out.
+    system = SetSystem(2, [[0], [1], []], [0, 0, 1])
+    for name, run in ALGORITHMS.items():
+        got = run(system, FairnessSpec([1]), 0)
+        assert got == run(system, FairnessSpec([1, 0]), 0), name
+        assert got.selected == (0, 1), name
+    assert opt_fair_cover(system, FairnessSpec([1])).selected == (0, 1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -140,6 +159,7 @@ def test_quota_greedies_stay_within_their_log_bounds(case):
     opt = opt_fair_cover(system, spec)
     if opt is None:
         return
+    assert opt.covers_universe(system) and fairness_report(system, spec, opt).fairness_ratio == 1
     bound = math.log(system.n) + 1
     allpick = _outcome(lambda s, spec, seed: greedy_allpick(s, spec), system, spec, 0)
     if not isinstance(allpick, type):

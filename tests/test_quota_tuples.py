@@ -1,5 +1,6 @@
 """The coverage kernel against plain itertools and frozensets: the quota
-tuple enumerator with its budget check, and GreedyState's coverage count."""
+tuple enumerator with its pool and budget checks, and GreedyState's
+coverage count."""
 
 from unittest.mock import patch
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faircover import unweighted
-from faircover.errors import BudgetExceeded
+from faircover.errors import BudgetExceeded, InsufficientColor
 from faircover.model import SetSystem
 from faircover.unweighted import GreedyState, _ids, _quota_tuples
 
@@ -44,6 +45,12 @@ def test_quota_tuples_match_itertools_reference(data):
     budget = data.draw(st.integers(0, 2 * len(ref) + 1))
     with patch.object(unweighted, "TUPLE_BUDGET", budget):
         tuples = _quota_tuples(sys_.masks, pools, counts)
+        if not ref:
+            # No tuple exists only when a pool is short, which is refused
+            # before the first tuple whatever the budget.
+            with pytest.raises(InsufficientColor):
+                next(tuples)
+            return
         if len(ref) > budget:
             # The refusal comes before the first tuple.
             with pytest.raises(BudgetExceeded):
