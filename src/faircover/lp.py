@@ -10,7 +10,8 @@ out the artificials of the quota equalities and of a positive target row.
 The boundary is arrays on both sides. An LpProblem is built from the
 objective, the constraint matrix A, one relation string per row, the
 right-hand sides rhs and optional (lo, hi) bounds; float64 arrays are
-adopted without a copy and made read-only. An LpSolution carries the
+adopted without a copy and made read-only, and non-finite data is refused
+(an upper bound may be +inf, which means none). An LpSolution carries the
 optimal point as a read-only float64 array. Every simplex pivot, phase
 one's drive-out of artificials included, goes through one tableau-update
 step (_pivot), which also records the entering column in the basis, the
@@ -22,14 +23,16 @@ solve() has two halves that every path shares: _optimize builds a
 problem's tableau and runs the two phases, and _read turns an optimal
 tableau into a checked LpSolution. LpProblem.retarget(target) gives the
 problem with its last row's rhs set to target; every problem re-targeted
-from one relaxation shares a family record of the last target solved and
-its phase-two tableau. When solve() gets the family's last target plus
-one, it re-solves from that tableau with dual-simplex pivots (Lemke)
-instead of from scratch, provided the last row was given as ">=" with a
-positive shifted rhs; this is how the eff_wfsc target sweep re-solves
-tau + 1 after tau. Any other problem is solved cold. A warm answer has the
-cold answer's status and objective, but on a degenerate optimum it may be
-another optimal vertex.
+from one relaxation shares its validated arrays and relation masks, so a
+family is validated once, when its first problem is built, and each
+re-target copies only the rhs. The family also shares a record of the
+last target solved and its phase-two tableau. When solve() gets the
+family's last target plus one, it re-solves from that tableau with
+dual-simplex pivots (Lemke) instead of from scratch, provided the last row
+was given as ">=" with a positive shifted rhs; this is how the eff_wfsc
+target sweep re-solves tau + 1 after tau. Any other problem is solved
+cold. A warm answer has the cold answer's status and objective, but on a
+degenerate optimum it may be another optimal vertex.
 
 Anything implementing solve(problem) -> LpSolution with the same statuses
 can be swapped in through the lp_solver arguments downstream; its values
@@ -71,11 +74,13 @@ class LpProblem:
 
     Float64 arrays passed in become the problem's own, without a copy, and
     every array is made read-only. A problem without rows takes an empty A
-    such as []. constraints gives the rows back as (row, relation, rhs)
-    triples.
+    such as []. A non-finite objective, A or rhs entry, a non-finite lower
+    bound, a NaN upper bound or an empty bound interval raises ValueError.
+    constraints gives the rows back as (row, relation, rhs) triples.
     """
 
     _family: list | None  # [last target, tableau], see retarget()
+    _masks: tuple[np.ndarray, ...]  # the "<=", ">=" and "=" rows, as bool arrays
 
     sense: str
     objective: np.ndarray  # (nvar,)
@@ -110,6 +115,9 @@ class LpProblem:
         for idx, rel in enumerate(rels):
             if rel not in _RELATIONS:
                 raise ValueError(f"constraint {idx}: unknown relation {rel!r}")
+        for name, a in (("objective", obj), ("A", A), ("rhs", b)):
+            if not np.isfinite(a).all():
+                raise ValueError(f"{name} entries must be finite")
         if bounds is None:
             bnds = np.repeat([[0.0, 1.0]], nvar, axis=0)
         else:
@@ -122,11 +130,17 @@ class LpProblem:
         bad = np.flatnonzero(~np.isfinite(lo))
         if bad.size:
             raise ValueError(f"variable {bad[0]}: lower bound must be finite")
-        bad = np.flatnonzero(hi < lo)
+        # With lo finite, hi >= lo fails exactly for a NaN hi and for hi < lo.
+        bad = np.flatnonzero(~(hi >= lo))
         if bad.size:
             j = bad[0]
+            if math.isnan(hi[j]):
+                raise ValueError(f"variable {j}: upper bound must not be NaN")
             raise ValueError(f"variable {j}: empty bound interval [{lo[j]}, {hi[j]}]")
-        for a in (obj, A, b, bnds):
+        # Every relation was checked above, so two characters hold each one.
+        rel = np.array(rels, dtype="<U2")
+        masks = tuple(rel == r for r in _RELATIONS)
+        for a in (obj, A, b, bnds, *masks):
             a.flags.writeable = False
         self.sense = sense
         self.objective = obj
@@ -134,22 +148,33 @@ class LpProblem:
         self.relations = rels
         self.rhs = b
         self.bounds = bnds
+        self._masks = masks
         self._family = None
 
     def retarget(self, target: float) -> LpProblem:
         """This problem with only its last row's rhs set to target. It
-        shares every other array, and one family record with this problem
-        and every problem re-targeted from it, so solve() can resume
-        target + 1 from the tableau of target. Raises DimensionMismatch
-        when the problem has no rows."""
+        shares every other array without validating it again, and one
+        family record with this problem and every problem re-targeted from
+        it, so solve() can resume target + 1 from the tableau of target.
+        Raises DimensionMismatch when the problem has no rows and
+        ValueError when target is not finite."""
         if not self.relations:
             raise DimensionMismatch("a problem without rows has no target row")
+        if not math.isfinite(target):
+            raise ValueError(f"target must be finite, got {target}")
         rhs = self.rhs.copy()
         rhs[-1] = target
+        rhs.flags.writeable = False
         if self._family is None:
             self._family = [math.nan, None]
-        twin = LpProblem(self.sense, self.objective, self.A, self.relations, rhs, self.bounds)
-        twin._family = self._family
+        # The shared arrays were validated when this family's first problem
+        # was built. The cached constraints stay behind: they hold its rhs.
+        twin = object.__new__(LpProblem)
+        vars(twin).update(
+            sense=self.sense, objective=self.objective, A=self.A,
+            relations=self.relations, rhs=rhs, bounds=self.bounds,
+            _masks=self._masks, _family=self._family,
+        )
         return twin
 
     @property
@@ -338,12 +363,13 @@ def _optimize(problem: LpProblem) -> tuple[str, _Tableau | None]:
     m_in = len(problem.relations)
     m = m_in + capped.size
     b = np.concatenate((problem.rhs - problem.A @ lo, hi[capped] - lo[capped]))
-    rels = np.array(problem.relations + ("<=",) * capped.size, dtype="<U2")
+    le, ge, _ = problem._masks
+    le = np.concatenate((le, np.ones(capped.size, dtype=bool)))
+    ge = np.concatenate((ge, np.zeros(capped.size, dtype=bool)))
 
     # Flip negative rhs rows so b >= 0, and also flip ">=" rows whose rhs
     # is exactly zero: as "<=" rows their slack is a feasible starting
     # basis, so they need neither a surplus nor an artificial.
-    le, ge = rels == "<=", rels == ">="
     flip = (b < 0) | ((b == 0) & ge)
     b[flip] = np.abs(b[flip])  # abs, not negation: keeps a zero rhs at +0.0
     le, ge = np.where(flip, ge, le), np.where(flip, le, ge)
@@ -427,12 +453,9 @@ def _read(problem: LpProblem, tab: _Tableau) -> LpSolution:
 def _violated(problem: LpProblem, resid: np.ndarray, tol: float) -> np.ndarray:
     """Indices of the rows whose residual A x - rhs breaks the row's
     relation by more than tol."""
-    rel = np.array(problem.relations, dtype="<U2")
-    return np.flatnonzero(
-        ((rel == "=") & (np.abs(resid) > tol))
-        | ((rel == "<=") & (resid > tol))
-        | ((rel == ">=") & (resid < -tol))
-    )
+    le, ge, eq = problem._masks
+    bad = (eq & (np.abs(resid) > tol)) | (le & (resid > tol)) | (ge & (resid < -tol))
+    return bad.nonzero()[0]
 
 
 def lp_variable_order(
@@ -533,32 +556,34 @@ def color_sampling_probs(
     """Turn the x part of an optimal relaxation into per-color sampling laws.
 
     values, any sequence of floats, must start with the x block laid out
-    like lp_variable_order's output. Each color's mass is clipped to [0,1];
-    if it then strays more than MASS_DRIFT_TOL from the quota the solve was
-    numerically unsound and NumericalFailure is raised. The returned
-    vectors sum to one.
+    like lp_variable_order's output. The x block is clipped to [0,1]; if a
+    color's mass then strays more than MASS_DRIFT_TOL from its quota, or is
+    not a number, the solve was numerically unsound and NumericalFailure
+    is raised. The returned vectors sum to one.
     """
-    values = np.asarray(values, dtype=float)
+    sizes = [len(g) for g in groups]
+    x = np.asarray(values, dtype=float)[: sum(sizes)].clip(0.0, 1.0)
     out: list[np.ndarray] = []
     pos = 0
-    for g, p in zip(groups, quotas):
-        x = np.clip(values[pos : pos + len(g)], 0.0, 1.0)
-        pos += len(g)
-        drift = abs(float(x.sum()) - p)
-        if drift > MASS_DRIFT_TOL:
+    for size, p in zip(sizes, quotas):
+        xs = x[pos : pos + size]
+        pos += size
+        mass = xs.sum()
+        drift = abs(float(mass) - p)
+        if not drift <= MASS_DRIFT_TOL:
             raise NumericalFailure(
                 f"color mass drifted {drift:.3e} from quota {p}"
             )
-        out.append(x / x.sum())
+        out.append(xs / mass)
     return out
 
 
-def round_laws(
-    values: Sequence[float], remaining_sets: Sequence[Sequence[int]], per_round: Sequence[int]
-):
-    """The sampling laws of one solved round relaxation: (groups, quotas,
-    probs), groups in lp_variable_order, quotas the nonzero entries of
-    per_round and probs color_sampling_probs of the values' x block."""
+def round_laws(remaining_sets: Sequence[Sequence[int]], per_round: Sequence[int]):
+    """The sampling laws of a round's solved relaxations, as a function
+    from an optimal point's values to (groups, quotas, probs): groups in
+    lp_variable_order, quotas the nonzero entries of per_round and probs
+    color_sampling_probs of the values' x block. Groups and quotas are
+    derived once per round, however many relaxations the round solves."""
     groups = lp_variable_order(remaining_sets, per_round)
     quotas = [p for p in per_round if p > 0]
-    return groups, quotas, color_sampling_probs(values, groups, quotas)
+    return lambda values: (groups, quotas, color_sampling_probs(values, groups, quotas))

@@ -247,13 +247,19 @@ def sample_round_tuple(
     Quota one: a single categorical draw. Larger quotas: that many draws
     with replacement, deduplicated, then padded back up with the color's
     lowest-index unchosen sets so the tuple always holds exactly quota
-    distinct sets."""
+    distinct sets. A color with law p draws as Generator.choice(len(p),
+    size, p=p) does, without its per-call validation: cdf = cumsum(p)
+    divided by its last entry, then cdf.searchsorted(rng.random(size),
+    side="right"). Same generator state, same indices; a property test
+    pins this against choice."""
     chosen: list[int] = []
     for g, q, pr in zip(groups, quotas, probs):
+        cdf = pr.cumsum()
+        cdf /= cdf[-1]
         if q == 1:
-            chosen.append(g[int(rng.choice(len(g), p=pr))])
+            chosen.append(g[int(cdf.searchsorted(rng.random(), side="right"))])
             continue
-        draws = rng.choice(len(g), size=q, replace=True, p=pr)
+        draws = cdf.searchsorted(rng.random(q), side="right")
         picked = {g[int(d)] for d in draws}
         chosen.extend(picked)
         chosen.extend([i for i in g if i not in picked][: q - len(picked)])
@@ -263,8 +269,8 @@ def sample_round_tuple(
 def _draw(system: SetSystem, state: GreedyState, laws, rng: np.random.Generator,
           tries: int, threshold: int) -> tuple[tuple[int, ...], int] | None:
     """The first of up to tries samples from laws, the (groups, quotas,
-    probs) of lp.round_laws, that newly covers at least threshold elements,
-    with that coverage; None when no sample does."""
+    probs) lp.round_laws gives, that newly covers at least threshold
+    elements, with that coverage; None when no sample does."""
     for _ in range(tries):
         ids = sample_round_tuple(*laws, rng)
         covered = state.new_coverage(system, ids)
@@ -280,7 +286,7 @@ def _lp_draw(system: SetSystem, state: GreedyState, per_round: Sequence[int],
     sol = lp_solver(lp)
     if sol.status != "optimal":
         raise NumericalFailure(f"round relaxation came back {sol.status}")
-    laws = round_laws(sol.values, state.remaining, per_round)
+    laws = round_laws(state.remaining, per_round)(sol.values)
     return _draw(system, state, laws, rng, tries, threshold)
 
 

@@ -134,6 +134,7 @@ def weighted_mkcc_round(
     uncovered = elements_of(state.uncovered)
     cap = resample_cap(system.n)
     lp = build_weighted_mkcc_lp(system, state.remaining, uncovered, per_round, 1)
+    laws_of = round_laws(state.remaining, per_round)
     best: TauCandidate | None = None
     for tau in range(1, len(uncovered) + 1):
         sol = lp_solver(lp.retarget(tau))
@@ -141,9 +142,8 @@ def weighted_mkcc_round(
             break
         if sol.status != "optimal":
             raise NumericalFailure(f"target {tau} relaxation came back {sol.status}")
-        laws = round_laws(sol.values, state.remaining, per_round)
         threshold = accept_threshold(tau)
-        hit = _draw(system, state, laws, rng, cap, threshold)
+        hit = _draw(system, state, laws_of(sol.values), rng, cap, threshold)
         if hit is None:
             raise ResampleCapExceeded(
                 f"target {tau}: no sample met coverage {threshold} in {cap} draws"

@@ -10,13 +10,17 @@ from faircover.errors import DimensionMismatch, InsufficientColor, NumericalFail
 from faircover.lp import (
     FEAS_TOL,
     LpProblem,
+    LpSolution,
+    _violated,
     build_mkcc_lp,
     build_weighted_mkcc_lp,
     color_sampling_probs,
     lp_variable_order,
     solve,
 )
-from faircover.model import SetSystem
+from faircover.model import SetSystem, count_parity
+from faircover.unweighted import eff_fsc
+from faircover.weighted import eff_wfsc
 
 from support import c01_instance, enumerate_lp
 
@@ -110,6 +114,25 @@ def test_dimension_mismatch_raises():
 def test_nonfinite_lower_bound_rejected():
     with pytest.raises(ValueError):
         LpProblem("max", [1.0], [], [], [], bounds=[(-math.inf, 1.0)])
+
+
+@pytest.mark.parametrize("objective, A, rhs, bounds", [
+    ([math.nan], [[1.0]], [5.0], None),
+    ([math.inf], [[1.0]], [5.0], None),
+    ([1.0], [[math.nan]], [5.0], None),
+    ([1.0], [[-math.inf]], [5.0], None),
+    ([1.0], [[1.0]], [math.nan], None),
+    ([1.0], [[1.0]], [math.inf], None),
+    ([1.0], [[1.0]], [5.0], [(0.0, math.nan)]),
+    ([1.0], [[1.0]], [5.0], [(0.0, -math.inf)]),
+])
+def test_nonfinite_data_rejected(objective, A, rhs, bounds):
+    # Unchecked, a NaN upper bound reads as "no bound", a NaN rhs escapes as
+    # numpy's argmin error and a NaN objective comes back optimal with
+    # objective nan. An upper bound of +inf stays allowed (see
+    # test_unbounded_detected_with_open_bounds).
+    with pytest.raises(ValueError):
+        LpProblem("max", objective, A, ["<="], rhs, bounds=bounds)
 
 
 def test_general_bounds_shifted_correctly():
@@ -448,6 +471,24 @@ def test_color_sampling_probs_flag_drift():
     groups = ((0, 1),)
     with pytest.raises(NumericalFailure):
         color_sampling_probs([0.4, 0.4], groups, [1])
+    # A mass that is not a number drifts by nan, which no tolerance holds.
+    with pytest.raises(NumericalFailure):
+        color_sampling_probs([math.nan, 1.0], groups, [1])
+
+
+@pytest.mark.parametrize("run", [
+    lambda sys_, solver: eff_fsc(sys_, count_parity(2), "lp", rng=1, lp_solver=solver),
+    lambda sys_, solver: eff_wfsc(sys_, count_parity(2), rng=1, lp_solver=solver),
+], ids=["eff_fsc_lp", "eff_wfsc"])
+def test_nan_masses_from_a_user_solver_are_a_numerical_failure(run):
+    def nan_first(problem):
+        sol = solve(problem)
+        values = sol.values.copy()
+        values[0] = math.nan
+        return LpSolution(sol.status, values, sol.objective)
+
+    with pytest.raises(NumericalFailure):
+        run(square_system(), nan_first)
 
 
 # ------------------------------------------ differential check against HiGHS
@@ -573,12 +614,35 @@ def test_retarget_sets_only_the_last_rhs():
     assert moved.sense == first.sense
     for name in ("objective", "A", "relations", "bounds"):
         assert getattr(moved, name) is getattr(first, name), name
+    assert moved._masks is first._masks
     assert moved.rhs[:-1].tobytes() == first.rhs[:-1].tobytes()
     assert (moved.rhs[-1], first.rhs[-1]) == (4.0, 1.0)
     assert not moved.rhs.flags.writeable
     assert moved.retarget(5)._family is first._family
     with pytest.raises(DimensionMismatch):
         LpProblem("max", [1.0], [], [], []).retarget(1)
+    with pytest.raises(ValueError):
+        first.retarget(math.nan)
+
+
+def test_retarget_twin_reads_like_a_built_problem():
+    # The twin skips the constructor, so everything a solve reads from it
+    # must match a problem built with the same rhs; and it must not take
+    # its parent's cached constraints, which hold the parent's rhs.
+    sys_ = square_system()
+    first = build_weighted_mkcc_lp(sys_, [[0, 1], [2, 3]], range(6), [1, 1], 1)
+    assert first.constraints[-1][2] == 1.0
+    moved = first.retarget(4)
+    assert moved.constraints[-1][2] == 4.0 and first.constraints[-1][2] == 1.0
+    built = LpProblem(first.sense, first.objective, first.A, first.relations,
+                      moved.rhs, first.bounds)
+    assert [m.tolist() for m in moved._masks] == [m.tolist() for m in built._masks]
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        resid = rng.normal(scale=1e-6, size=len(moved.rhs))
+        resid[rng.random(len(resid)) < 0.3] = 0.0
+        for tol in (0.0, 1e-6):
+            assert _violated(moved, resid, tol).tolist() == _violated(built, resid, tol).tolist()
 
 
 def count_cold_solves(monkeypatch):

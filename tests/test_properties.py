@@ -30,6 +30,7 @@ from faircover.unweighted import (
     greedy_allpick,
     greedy_set_cover,
     naive_fsc,
+    sample_round_tuple,
 )
 from faircover.weighted import eff_wfsc, greedy_weighted_allpick, naive_wfsc
 
@@ -373,3 +374,53 @@ def test_multicover_prices_sum_to_the_cover(case):
         except FairCoverError:
             continue
         assert audit_price_identity(cover, ledger, spec).ok, mode
+
+
+class _IndexLog(list):
+    """A color's group that logs every index read through g[i]. Iterating
+    it, as the padding of a short draw does, reads no index."""
+
+    def __init__(self, size, log):
+        super().__init__(range(size))
+        self.log = log
+
+    def __getitem__(self, i):
+        self.log.append(int(i))
+        return super().__getitem__(i)
+
+
+@st.composite
+def sampling_laws(draw):
+    """(laws, seed): one to three colors, each a (law, quota) pair with a
+    law over 1-12 sets, some entries zero but never all, normalized as
+    color_sampling_probs does, and a quota of 1-3."""
+    laws = []
+    for _ in range(draw(st.integers(1, 3))):
+        raw = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
+                            min_size=1, max_size=12))
+        if not any(raw):
+            raw[draw(st.integers(0, len(raw) - 1))] = 1.0
+        x = np.array(raw)
+        laws.append((x / x.sum(), draw(st.integers(1, 3))))
+    return laws, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sampling_laws())
+def test_round_draws_are_generator_choice_draws(case):
+    # sample_round_tuple follows Generator.choice's recipe without calling
+    # it; a numpy release that changes the recipe must fail here rather
+    # than silently move the golden covers.
+    laws, seed = case
+    log = []
+    groups = [_IndexLog(len(pr), log) for pr, _ in laws]
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    sample_round_tuple(groups, [q for _, q in laws], [pr for pr, _ in laws], rng)
+    want = []
+    for pr, q in laws:
+        if q == 1:
+            want.append(int(ref.choice(len(pr), p=pr)))
+        else:
+            want.extend(ref.choice(len(pr), size=q, replace=True, p=pr).tolist())
+    assert log == want
+    assert rng.bit_generator.state == ref.bit_generator.state

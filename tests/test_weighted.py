@@ -27,7 +27,7 @@ from faircover.weighted import (
     weighted_mkcc_round,
 )
 
-from support import brute_best_tuple, replay_states
+from support import brute_best_tuple, c01_instance, replay_states
 
 SPEC2 = count_parity(2)
 
@@ -264,3 +264,26 @@ def test_eff_wfsc_three_colors():
     cover = eff_wfsc(sys_, spec, rng=0)
     assert cover.covers_universe(sys_)
     assert fairness_report(sys_, spec, cover).fairness_ratio == 1
+
+
+def test_eff_wfsc_validates_one_problem_per_round(monkeypatch):
+    # Every target of a round's sweep re-targets the round's relaxation,
+    # which copies only the rhs, so the constructor's validation runs once
+    # per round however many targets are solved.
+    from faircover import lp
+
+    built, solved = [], []
+    real_init = lp.LpProblem.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        real_init(self, *args, **kwargs)
+
+    def counting_solve(problem):
+        solved.append(1)
+        return lp.solve(problem)
+
+    monkeypatch.setattr(lp.LpProblem, "__init__", counting_init)
+    sys_, spec = c01_instance(2)
+    cover = eff_wfsc(sys_, spec, rng=1, lp_solver=counting_solve)
+    assert (len(cover.rounds), len(built), len(solved)) == (3, 3, 29)
