@@ -8,9 +8,9 @@ here writes a pricing ledger: each alive element in the round's union gets
 one entry of (round size) / (alive elements touched). Those prices make
 two audit identities exact: entries sum to the cover size, and each
 round's entries sum to the round size. A third, inequality-shaped audit
-bounds any single set's terminal prices by the harmonic series, which is
-the engine of the size guarantee (at most k (ln n + 1) times the optimal
-fair multicover).
+checks the harmonic price bound that exhaustive rounds prove for every
+set of a color with a positive quota (audit_harmonic_bound); sampled
+rounds carry no such bound.
 """
 
 from __future__ import annotations
@@ -191,24 +191,40 @@ def audit_price_identity(
     return AuditReport(True, total, cover.size, max_dev)
 
 
-def audit_harmonic_bound(instance: MulticoverInstance, ledger: PriceLedger) -> float:
-    """Assert every set's terminal prices stay under k * H_n.
+def audit_harmonic_bound(
+    instance: MulticoverInstance, cover: Cover, ledger: PriceLedger, spec: FairnessSpec
+) -> float:
+    """Assert the price bound of an exhaustive run for every set.
 
-    For each set (picked or not), summing the last price of each of its
-    elements must not exceed num_colors times the n-th harmonic number.
-    Returns the largest ratio observed; raises AuditFailure past 1."""
+    Take a set S of a color with a positive quota, and the elements of S
+    that reach their demand no later than the round committing S (all of
+    them when S is never picked). Their terminal prices sum to at most
+    p * H_|S|, p being sum(per_round) and |S| the number of S's elements
+    in [0, n). While S is unpicked, a quota tuple holding S is on offer,
+    so an exhaustive round touches at least as many alive elements as S
+    still holds, and the j-th of S's elements to reach its demand pays at
+    most p / (|S| - j + 1). This holds for mode='exhaustive' only: a
+    sampled round may touch fewer, so sampled runs carry no such bound.
+
+    Returns the largest ratio of such a price sum to its bound; raises
+    AuditFailure past 1."""
     system = instance.base
-    n = system.n
-    h_n = sum(1.0 / i for i in range(1, n + 1))
-    bound = system.num_colors * h_n
-    terminal = ledger.terminal_price()
+    p = sum(spec.per_round)
+    picked = {i: r for r, ids in enumerate(cover.rounds) for i in ids}
+    last = {e.element: e for e in ledger.entries}  # entries are in commit order
     worst = 0.0
     for i, s in enumerate(system.sets):
-        total = sum(terminal.get(e, 0.0) for e in s)
+        h = system.colors[i]
+        if h >= len(spec.per_round) or spec.per_round[h] == 0:
+            continue
+        size = sum(0 <= e < system.n for e in s)
+        bound = p * sum(1.0 / j for j in range(1, size + 1))
+        done = picked.get(i, len(cover.rounds))
+        total = sum(
+            last[e].price for e in s if e in last and last[e].round_index <= done
+        )
         if total > bound + AUDIT_TOL:
-            raise AuditFailure(
-                f"set {i} terminal prices {total!r} exceed bound {bound!r}"
-            )
+            raise AuditFailure(f"set {i} terminal prices {total!r} exceed bound {bound!r}")
         if bound > 0:
             worst = max(worst, total / bound)
     return worst

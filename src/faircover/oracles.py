@@ -45,9 +45,11 @@ def opt_set_cover(system: SetSystem) -> Cover:
 
 def _fair_sizes(system: SetSystem, spec: FairnessSpec) -> range:
     """The round counts t for which every color h of positive share owns
-    t * per_round[h] sets; since the quotas sum to p, t * p sets exist too."""
+    t * per_round[h] sets; since the quotas sum to p, t * p sets exist too.
+    The scan starts at t = 1, or at t = 0 for an empty universe, which the
+    empty selection covers."""
     sizes = system.group_sizes
-    return range(1, 1 + min(
+    return range(0 if system.n == 0 else 1, 1 + min(
         (sizes[h] if h < len(sizes) else 0) // p for h, p in enumerate(spec.per_round) if p > 0
     ))
 

@@ -113,11 +113,12 @@ def greedy_set_cover(system: SetSystem) -> Cover:
 
 def _pad_to_quotas(system: SetSystem, spec: FairnessSpec, base: Cover, key=None) -> Cover:
     """base plus one round padding every color up to t * per_round[h], t
-    being the fewest rounds whose quotas hold base's group counts. A color
-    pads with its unpicked sets in key order (by id when key is None).
-    Raises ZeroFractionViolated when base has a set of a zero-share color."""
+    being the fewest rounds whose quotas hold base's group counts (zero for
+    an empty base). A color pads with its unpicked sets in key order (by id
+    when key is None). Raises ZeroFractionViolated when base has a set of a
+    zero-share color."""
     quotas = [(int(f * spec.p), c) for f, c in quota_counts(spec, base)]
-    t = max([1] + [math.ceil(c / p) for p, c in quotas if p > 0])
+    t = max([0] + [math.ceil(c / p) for p, c in quotas if p > 0])
     picked = set(base.selected)
     pools = [sorted((i for i in g if i not in picked), key=key) for g in system.sets_by_color]
     needs = [t * p - c for p, c in quotas]

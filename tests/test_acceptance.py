@@ -372,7 +372,7 @@ def test_c09_multicover_price_identities(capsys):
             cover, ledger = fair_multicover_greedy(inst, SPEC2)
             assert abs(ledger.total_price() - cover.size) <= 1e-9 * max(1, cover.size)
             audit_price_identity(cover, ledger, SPEC2)
-            assert audit_harmonic_bound(inst, ledger) <= 1.0
+            assert audit_harmonic_bound(inst, cover, ledger, SPEC2) <= 1.0
             counts = [0] * sys_.n
             for i in cover.selected:
                 for e in sys_.sets[i]:

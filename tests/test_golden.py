@@ -1,34 +1,63 @@
-"""Golden cover corpus: the covers of all seven criterion-01 algorithms on
-every fifth of criterion 01's 200 instances, pinned bit for bit, and the
-pivot path of the three LP algorithms on them: their lp._pivot calls and
-cold lp._optimize solves, counted during the same run.
+"""Golden results: every pinned cover, pivot count and oracle answer, run
+from one table and checked against the three files under tests/golden.
+
+- c01_covers.json: the covers of all seven criterion-01 algorithms on
+  every fifth of criterion 01's 200 instances;
+- c01_pivots.json: the pivot path of the three LP algorithms on them, as
+  their lp._pivot calls and cold lp._optimize solves in the same run;
+- pins.json: plain greedy, the weighted greedy variants and multicover's
+  sampled mode with its price ledger on those instances and on 24
+  oracle-sized ones, and every exact oracle on the oracle-sized ones.
+
+The oracle-sized instances mirror the benchmark's oracle-ratio workload
+(n 8..12, 8 sets per color), plus a three-color kind and an uneven
+(1/4, 3/4) share. A run that raises is pinned by its exception class.
 
 A change that keeps behaviour (a refactor, a faster kernel on the same
-pivot path) must leave every cover and count as recorded. A change that
-moves them on purpose re-records both files and says how many moved and
-why:
+pivot path) must leave every result as recorded. A change that moves
+results on purpose re-records all three files, which prints how many
+results moved in each, and says how many and why:
 
     PYTHONPATH=src python tests/test_golden.py --record
 """
 
 import json
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from functools import cache
 from pathlib import Path
 
 from faircover import lp
+from faircover.errors import FairCoverError
 from faircover.generalized import gfsc
+from faircover.io_generators import gen_synthetic
+from faircover.model import FairnessSpec, count_parity
 from faircover.multicover import MulticoverInstance, fair_multicover_greedy
-from faircover.unweighted import eff_fsc, greedy_allpick, naive_fsc
-from faircover.weighted import eff_wfsc
+from faircover.oracles import opt_fair_cover, opt_fair_multicover, opt_mkcc, opt_set_cover
+from faircover.unweighted import eff_fsc, greedy_allpick, greedy_set_cover, naive_fsc
+from faircover.weighted import eff_wfsc, greedy_weighted_allpick, naive_wfsc
 
 from support import c01_instance
 
-CORPUS = Path(__file__).parent / "golden" / "c01_covers.json"
-PIVOTS = Path(__file__).parent / "golden" / "c01_pivots.json"
-INSTANCES = range(0, 200, 5)
-LP_ALGORITHMS = ("eff_fsc(lp)", "eff_wfsc", "gfsc(lp_sub)")
+GOLDEN = Path(__file__).parent / "golden"
+# Each file's instance label, from the instance's kind and index.
+FILES = {"c01_covers.json": "{idx}", "c01_pivots.json": "{idx}", "pins.json": "{kind}-{idx}"}
+C01 = range(0, 200, 5)
+INSTANCES = [("c01", idx) for idx in C01] + [("oracle", idx) for idx in range(24)]
+
+
+def oracle_instance(idx):
+    """Oracle-sized instance idx as (system, spec). Kinds cycle by idx % 3:
+    two colors of 8 sets with equal shares, two colors of 8 sets with shares
+    (1/4, 3/4), three colors of 5 sets with equal shares."""
+    n = 8 + idx % 5
+    weights = ("uniform", 1.0, 7.9)
+    kind = idx % 3
+    if kind == 2:
+        sys_ = gen_synthetic(n, 5, 3, ("uniform", 0.35), weights, seed=idx)
+        return sys_, count_parity(3)
+    sys_ = gen_synthetic(n, 8, 2, ("uniform", 0.35), weights, seed=idx)
+    return sys_, count_parity(2) if kind == 0 else FairnessSpec(["1/4", "3/4"])
 
 
 @contextmanager
@@ -53,59 +82,141 @@ def lp_calls():
             setattr(lp, name, fn)
 
 
-def corpus_run(idx):
-    """Rounds of each algorithm's cover on instance idx, seeded as in
-    criterion 01, and [pivots, cold solves] of each LP algorithm's run."""
-    sys_, spec = c01_instance(idx)
-    reqs = [min(2, len(sys_.element_sets[j])) for j in range(sys_.n)]
-    runs = {
-        "naive_fsc": lambda: naive_fsc(sys_, spec),
-        "greedy_allpick": lambda: greedy_allpick(sys_, spec),
-        "eff_fsc(greedy)": lambda: eff_fsc(sys_, spec, subroutine="greedy", rng=idx),
-        "eff_fsc(lp)": lambda: eff_fsc(sys_, spec, subroutine="lp", rng=idx),
-        "eff_wfsc": lambda: eff_wfsc(sys_, spec, rng=idx),
-        "gfsc(lp_sub)": lambda: gfsc(sys_, spec, mode="lp_sub", rng=idx + 1),
-        "fair_multicover_greedy": lambda: fair_multicover_greedy(
-            MulticoverInstance(sys_, reqs), spec
-        )[0],
+def _demands(s):
+    return MulticoverInstance(s, [min(2, len(s.element_sets[j])) for j in range(s.n)])
+
+
+def _rounds(cover):
+    return [list(r) for r in cover.rounds]
+
+
+def _selected(cover):
+    return None if cover is None else list(cover.selected)
+
+
+def _multicover_sampled(s, spec, seed):
+    cover, ledger = fair_multicover_greedy(_demands(s), spec, mode="mkcc_sub", rng=seed)
+    return {
+        "rounds": _rounds(cover),
+        "alive": list(ledger.alive_history),
+        "entries": [[e.round_index, e.element, e.occurrence] for e in ledger.entries],
     }
-    covers, pivots = {}, {}
-    for name, run in runs.items():
-        with lp_calls() as counts:
-            covers[name] = [list(r) for r in run().rounds]
-        if name in LP_ALGORITHMS:
-            pivots[name] = [counts["_pivot"], counts["_optimize"]]
-    return covers, pivots
+
+
+def _mkcc(later, ratio):
+    """opt_mkcc's round from the start or, if later, from a mid-run state:
+    odd elements uncovered, each color's first set taken."""
+    def run(s, spec, seed):
+        unc = [e for e in range(s.n) if e % 2] if later else range(s.n)
+        rem = [g[1:] for g in s.sets_by_color] if later else s.sets_by_color
+        return list(opt_mkcc(s, unc, rem, spec.per_round, weighted_ratio=ratio))
+    return run
+
+
+LP_RUNS = ("eff_fsc(lp)", "eff_wfsc", "gfsc(lp_sub)")
+# (file, instance kinds) -> run name -> its result from (system, spec, seed).
+RUNS = {
+    ("c01_covers.json", ("c01",)): {
+        "naive_fsc": lambda s, spec, seed: _rounds(naive_fsc(s, spec)),
+        "greedy_allpick": lambda s, spec, seed: _rounds(greedy_allpick(s, spec)),
+        "eff_fsc(greedy)": lambda s, spec, seed: _rounds(eff_fsc(s, spec, "greedy", rng=seed)),
+        "eff_fsc(lp)": lambda s, spec, seed: _rounds(eff_fsc(s, spec, "lp", rng=seed)),
+        "eff_wfsc": lambda s, spec, seed: _rounds(eff_wfsc(s, spec, rng=seed)),
+        "gfsc(lp_sub)": lambda s, spec, seed: _rounds(gfsc(s, spec, "lp_sub", rng=seed + 1)),
+        "fair_multicover_greedy": lambda s, spec, seed: _rounds(
+            fair_multicover_greedy(_demands(s), spec)[0]
+        ),
+    },
+    ("pins.json", ("c01", "oracle")): {
+        "greedy_set_cover": lambda s, spec, seed: _rounds(greedy_set_cover(s)),
+        "naive_wfsc": lambda s, spec, seed: _rounds(naive_wfsc(s, spec)),
+        "greedy_weighted_allpick": lambda s, spec, seed: _rounds(greedy_weighted_allpick(s, spec)),
+        "fair_multicover_greedy(mkcc_sub)": _multicover_sampled,
+    },
+    ("pins.json", ("oracle",)): {
+        "opt_set_cover": lambda s, spec, seed: _selected(opt_set_cover(s)),
+        "opt_fair_cover": lambda s, spec, seed: _selected(opt_fair_cover(s, spec)),
+        "opt_fair_cover(weighted)": lambda s, spec, seed: _selected(
+            opt_fair_cover(s, spec, weighted=True)
+        ),
+        "opt_fair_multicover": lambda s, spec, seed: _selected(
+            opt_fair_multicover(_demands(s), spec)
+        ),
+        **{
+            f"opt_mkcc({label}{', ratio' if ratio else ''})": _mkcc(later, ratio)
+            for later, label in ((False, "start"), (True, "after"))
+            for ratio in (False, True)
+        },
+    },
+}
+
+
+def _pin(run, *args):
+    """A run's pinned form, as JSON reads it back: its result, or the class
+    of what it raised."""
+    try:
+        return json.loads(json.dumps(run(*args)))
+    except FairCoverError as exc:
+        return {"raised": type(exc).__name__}
 
 
 @cache
-def corpus():
-    """corpus_run of every corpus instance, made once for both tests."""
-    return {idx: corpus_run(idx) for idx in INSTANCES}
+def results():
+    """Every pinned result, as results()[file][label][run name]; each
+    instance is built once for all its runs."""
+    out = {file: {} for file in FILES}
+    for kind, idx in INSTANCES:
+        sys_, spec = c01_instance(idx) if kind == "c01" else oracle_instance(idx)
+
+        def put(file, name, result):
+            out[file].setdefault(FILES[file].format(kind=kind, idx=idx), {})[name] = result
+
+        for (file, kinds), runs in RUNS.items():
+            if kind not in kinds:
+                continue
+            for name, run in runs.items():
+                with lp_calls() if name in LP_RUNS else nullcontext() as counts:
+                    put(file, name, _pin(run, sys_, spec, idx))
+                if name in LP_RUNS:
+                    put("c01_pivots.json", name, [counts["_pivot"], counts["_optimize"]])
+    return out
 
 
-def test_covers_match_golden_corpus():
-    recorded = json.loads(CORPUS.read_text())
-    assert sorted(int(i) for i in recorded) == list(INSTANCES)
-    moved = [
-        (idx, name)
-        for idx, (covers, _) in corpus().items()
-        for name, rounds in covers.items()
-        if recorded[str(idx)][name] != rounds
+def serialised(runs_by_label):
+    """A golden file's text: one line per label, runs in name order."""
+    lines = [
+        f' "{label}": {json.dumps(runs, sort_keys=True)}' for label, runs in runs_by_label.items()
     ]
-    assert not moved, f"{len(moved)} covers moved from the corpus: {moved}"
+    return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
-def test_pivot_counts_match_golden_pins():
-    recorded = json.loads(PIVOTS.read_text())
-    assert sorted(int(i) for i in recorded) == list(INSTANCES)
-    moved = [
-        (idx, name, recorded[str(idx)][name], counts)
-        for idx, (_, pivots) in corpus().items()
-        for name, counts in pivots.items()
-        if recorded[str(idx)][name] != counts
+def moved(file):
+    """(file, label, run) of every result that differs from the file's
+    record, a result missing on either side included, and the count of
+    results run."""
+    recorded = json.loads((GOLDEN / file).read_text())
+    got = results()[file]
+    keys = {
+        (label, name) for side in (recorded, got) for label, runs in side.items() for name in runs
+    }
+    out = [
+        (file, label, name)
+        for label, name in sorted(keys)
+        if recorded.get(label, {}).get(name) != got.get(label, {}).get(name)
     ]
-    assert not moved, f"{len(moved)} pivot counts moved from the pins: {moved}"
+    return out, sum(map(len, got.values()))
+
+
+def test_every_result_matches_its_golden_file():
+    found = [m for file in FILES for m in moved(file)[0]]
+    assert not found, f"{len(found)} results moved: {found}"
+
+
+def test_the_recorder_rewrites_each_golden_file_unchanged():
+    # A drift in the recorder's format fails here, not as a whole-file diff
+    # at the next re-record.
+    for file in FILES:
+        assert serialised(results()[file]) == (GOLDEN / file).read_text(), file
 
 
 def test_wrapped_default_solver_gives_the_default_covers():
@@ -113,20 +224,17 @@ def test_wrapped_default_solver_gives_the_default_covers():
     # the same problems in the same order, so solve() warm-starts the same
     # targets and every eff_wfsc cover equals the default path's, which the
     # corpus pins.
-    recorded = json.loads(CORPUS.read_text())
-    for idx in INSTANCES:
+    corpus = results()["c01_covers.json"]
+    for idx in C01:
         sys_, spec = c01_instance(idx)
         wrapped = eff_wfsc(sys_, spec, rng=idx, lp_solver=lambda p: lp.solve(p))
-        assert [list(r) for r in wrapped.rounds] == recorded[str(idx)]["eff_wfsc"], idx
+        assert _rounds(wrapped) == corpus[str(idx)]["eff_wfsc"], idx
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --record")
-    for path, part in ((CORPUS, 0), (PIVOTS, 1)):
-        lines = [
-            f' "{idx}": {json.dumps(run[part], sort_keys=True)}'
-            for idx, run in corpus().items()
-        ]
-        path.write_text("{\n" + ",\n".join(lines) + "\n}\n")
-    print(f"recorded {len(INSTANCES)} instances to {CORPUS} and {PIVOTS}")
+    for file in FILES:
+        found, total = moved(file)
+        (GOLDEN / file).write_text(serialised(results()[file]))
+        print(f"{file}: {len(found)} of {total} results moved")

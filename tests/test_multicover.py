@@ -88,8 +88,22 @@ def test_two_round_demand_walkthrough():
     report = audit_price_identity(cover, ledger, SPEC2)
     assert isinstance(report, AuditReport)
     assert report.ok and report.cover_size == 4
-    # Set 1 = {0, 1} sits exactly at the bound 2 * H_2 = 3: inclusive.
-    assert audit_harmonic_bound(inst, ledger) == pytest.approx(1.0)
+    # Set 1 = {0, 1}, committed in round 1 when both its elements reach
+    # their demand, pays 1 + 2, exactly the bound 2 * H_2 = 3: inclusive.
+    assert audit_harmonic_bound(inst, cover, ledger, SPEC2) == pytest.approx(1.0)
+
+
+def test_harmonic_bound_counts_prices_up_to_the_round_of_the_set():
+    # Set 4 = {0, 1} goes first at 1/2 per element; each element then pays
+    # 1 to meet its demand of two. Those later prices sum to 2, past 1 * H_2,
+    # but both come after set 4's round, so the bound leaves them out.
+    base = SetSystem(2, [[], [], [0], [1], [0, 1]], [0] * 5)
+    inst = MulticoverInstance(base, (2, 2))
+    spec = count_parity(1)
+    cover, ledger = fair_multicover_greedy(inst, spec)
+    assert cover.rounds == ((4,), (2,), (3,))
+    assert ledger.terminal_price() == {0: 1.0, 1: 1.0}
+    assert audit_harmonic_bound(inst, cover, ledger, spec) == 1.0
 
 
 # -------------------------------------------------------- single-cover shadow
@@ -118,7 +132,7 @@ def test_identities_hold_on_random_demands():
         assert all(c >= r for c, r in zip(counts, inst.requirements))
         report = audit_price_identity(cover, ledger, SPEC2)
         assert report.total_price == pytest.approx(cover.size)
-        assert audit_harmonic_bound(inst, ledger) <= 1.0
+        assert audit_harmonic_bound(inst, cover, ledger, SPEC2) <= 1.0
         occ = {}
         for e in ledger.entries:
             occ[e.element] = occ.get(e.element, 0) + 1
@@ -156,9 +170,10 @@ def test_price_identity_catches_tampering():
 
 def test_harmonic_bound_catches_absurd_prices():
     inst = demand_two_instance()
+    cover, _ = fair_multicover_greedy(inst, SPEC2)
     ledger = PriceLedger((PriceEntry(0, 0, 1, 99.0),), (2,))
     with pytest.raises(AuditFailure):
-        audit_harmonic_bound(inst, ledger)
+        audit_harmonic_bound(inst, cover, ledger, SPEC2)
 
 
 # -------------------------------------------------------------- relaxed rounds

@@ -1,7 +1,8 @@
 """Properties every algorithm keeps on random small instances: a complete,
 exactly fair cover or a typed FairCoverError, the same result for the same
 seed, the proven size bounds against the exact oracle, relaxations that
-bound the best integral round, and multicover prices that sum to the cover."""
+bound the best integral round, multicover prices that sum to the cover and
+stay within their harmonic bound, and the empty cover of an empty universe."""
 
 import math
 from fractions import Fraction
@@ -19,10 +20,16 @@ from faircover.lp import LpProblem, build_mkcc_lp, build_weighted_mkcc_lp, solve
 from faircover.model import FairnessSpec, SetSystem, count_parity, fairness_report, mask_of
 from faircover.multicover import (
     MulticoverInstance,
+    audit_harmonic_bound,
     audit_price_identity,
     fair_multicover_greedy,
 )
-from faircover.oracles import opt_fair_cover, opt_mkcc
+from faircover.oracles import (
+    opt_fair_cover,
+    opt_fair_multicover,
+    opt_mkcc,
+    opt_set_cover,
+)
 from faircover.unweighted import (
     _best_candidate,
     _quota_tuples,
@@ -130,6 +137,26 @@ def test_every_algorithm_covers_fairly_or_fails_typed_and_repeats(case):
             assert got.covers_universe(system), name
     plain = _outcome(lambda s, spec, seed: greedy_set_cover(s), system, spec, seed)
     assert isinstance(plain, type) or plain.covers_universe(system)
+
+
+EVERY_SOLVER = {
+    **ALGORITHMS,
+    "greedy_set_cover": lambda s, spec, seed: greedy_set_cover(s),
+    "gfsc_exhaustive": lambda s, spec, seed: gfsc(s, spec),
+    "gfwsc_exhaustive": lambda s, spec, seed: gfwsc(s, spec),
+    "opt_set_cover": lambda s, spec, seed: opt_set_cover(s),
+    "opt_fair_cover": lambda s, spec, seed: opt_fair_cover(s, spec),
+    "opt_fair_cover_weighted": lambda s, spec, seed: opt_fair_cover(s, spec, weighted=True),
+    "opt_fair_multicover": lambda s, spec, seed: opt_fair_multicover(
+        MulticoverInstance(s, []), spec
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(EVERY_SOLVER))
+def test_an_empty_universe_gets_the_empty_cover(name):
+    system = SetSystem(0, [[], [], [], []], [0, 0, 1, 1])
+    assert EVERY_SOLVER[name](system, count_parity(2), 0).selected == ()
 
 
 def test_a_color_the_system_lacks_has_an_empty_pool():
@@ -374,6 +401,19 @@ def test_multicover_prices_sum_to_the_cover(case):
         except FairCoverError:
             continue
         assert audit_price_identity(cover, ledger, spec).ok, mode
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances(max_sets=10), st.data())
+def test_exhaustive_multicover_prices_stay_within_the_harmonic_bound(case, data):
+    system, spec, _ = case
+    reqs = [data.draw(st.integers(1, max(1, min(3, len(c))))) for c in system.element_sets]
+    inst = MulticoverInstance(system, reqs)
+    try:
+        cover, ledger = fair_multicover_greedy(inst, spec)
+    except FairCoverError:
+        return
+    assert audit_harmonic_bound(inst, cover, ledger, spec) <= 1.0
 
 
 class _IndexLog(list):
