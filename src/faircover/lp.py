@@ -1,37 +1,38 @@
-"""Dense two-phase simplex plus the relaxation builders used by the rounding algorithms.
+"""Dense bounded dual simplex plus the relaxation builders used by the rounding algorithms.
 
 The solver is deliberately small: desk-scale problems (tens of variables)
-with box bounds. Bland's rule keeps it cycle-free and a generous pivot
-budget turns pathological stalls into a loud NumericalFailure instead of a
-hang. Zero-rhs ">=" rows (the relaxations' coverage rows
-sum x - y_e >= 0) start from their slack, so phase one only has to drive
-out the artificials of the quota equalities and of a positive target row.
+with box bounds. Bounds are implicit: lower bounds are shifted to zero,
+every row gets one slack bounded by its relation, and a nonbasic column
+sits at one of its finite bounds. Putting each variable at the bound its
+cost favours makes the slack basis dual feasible, so a cold solve and a
+warm one run the same two loops: dual-simplex pivots until every basic
+value is within its bounds, then primal pivots on the true costs, which
+find an unbounded problem and clean up drift. Bland's rule keeps both
+cycle-free and a generous pivot budget turns pathological stalls into a
+loud NumericalFailure instead of a hang.
 
 The boundary is arrays on both sides. An LpProblem is built from the
 objective, the constraint matrix A, one relation string per row, the
 right-hand sides rhs and optional (lo, hi) bounds; float64 arrays are
 adopted without a copy and made read-only, and non-finite data is refused
 (an upper bound may be +inf, which means none). An LpSolution carries the
-optimal point as a read-only float64 array. Every simplex pivot, phase
-one's drive-out of artificials included, goes through one tableau-update
-step (_pivot), which also records the entering column in the basis, the
-one record of which column is basic. It keeps every basic column an exact
-unit vector, so a basic column's reduced cost is exactly 0 and its entries
-exactly 0 or 1, and neither pivot rule can pick it.
+optimal point as a read-only float64 array. Every basis change goes
+through one tableau-update step (_pivot), which also records the entering
+column in the basis, the one record of which column is basic. It keeps
+every basic column an exact unit vector, so a basic column's reduced cost
+is exactly 0 and its entries exactly 0 or 1.
 
 solve() has two halves that every path shares: _optimize builds a
-problem's tableau and runs the two phases, and _read turns an optimal
+problem's tableau and runs the two loops, and _read turns an optimal
 tableau into a checked LpSolution. LpProblem.retarget(target) gives the
 problem with its last row's rhs set to target; every problem re-targeted
 from one relaxation shares its validated arrays and relation masks, so a
 family is validated once, when its first problem is built, and each
 re-target copies only the rhs. The family also shares a record of the
-last target solved and its phase-two tableau. When solve() gets the
-family's last target plus one, it re-solves from that tableau with
-dual-simplex pivots (Lemke) instead of from scratch, provided the last row
-was given as ">=" with a positive shifted rhs; this is how the eff_wfsc
-target sweep re-solves tau + 1 after tau. Any other problem is solved
-cold. A warm answer has the cold answer's status and objective, but on a
+last target solved to optimality and its final tableau, and solve()
+resumes any target of the family from that tableau instead of from
+scratch; this is how the eff_wfsc target sweep re-solves tau + 1 after
+tau. A warm answer has the cold answer's status and objective, but on a
 degenerate optimum it may be another optimal vertex.
 
 Anything implementing solve(problem) -> LpSolution with the same statuses
@@ -57,7 +58,8 @@ from .model import SetSystem, check_pools
 FEAS_TOL = 1e-9
 # Relative tolerance for objective comparisons.
 OBJ_RTOL = 1e-7
-# Pivoting threshold: entries smaller than this are treated as zero.
+# Pivoting threshold: entries, reduced costs and bound violations smaller
+# than this are treated as zero.
 _PIVOT_TOL = 1e-9
 # Largest constraint residual _read accepts in an optimal point.
 _RESIDUAL_TOL = 1e-6
@@ -155,7 +157,7 @@ class LpProblem:
         """This problem with only its last row's rhs set to target. It
         shares every other array without validating it again, and one
         family record with this problem and every problem re-targeted from
-        it, so solve() can resume target + 1 from the tableau of target.
+        it, so solve() can resume any target from the last one solved.
         Raises DimensionMismatch when the problem has no rows and
         ValueError when target is not finite."""
         if not self.relations:
@@ -211,103 +213,144 @@ _INFEASIBLE = LpSolution("infeasible", _NO_VALUES, math.nan)
 _UNBOUNDED = LpSolution("unbounded", _NO_VALUES, math.nan)
 
 
-def _pivot(T: np.ndarray, basis: np.ndarray, leave: int, enter: int) -> None:
-    """Make column enter basic in row leave and set basis[leave] = enter:
-    divide row leave by the pivot and subtract T[r, enter] times it from
-    every other row r. Basic columns stay exact unit vectors: enter's gets
-    x / x = 1 and T[r, enter] - T[r, enter] * 1 = 0, and every other one
-    has an exact 0 in row leave, so each row subtracts T[r, enter] * 0."""
+def _pivot(tab: _Tableau, leave: int, enter: int, side: float) -> None:
+    """Make column enter basic in row leave and set basis[leave] = enter.
+    The leaving column goes nonbasic at its lower bound when side is +1
+    and at its upper bound when side is -1.
+
+    The last column first becomes the basic values with enter at 0 and, in
+    row leave, less the leaving bound, which the row operations turn into
+    the values after the exchange. Then row leave is divided by the pivot
+    and T[r, enter] times it is subtracted from every other row r. Basic
+    columns stay exact unit vectors: enter's gets x / x = 1 and
+    T[r, enter] - T[r, enter] * 1 = 0, and every other one has an exact 0
+    in row leave, so each row subtracts T[r, enter] * 0."""
+    T, basis, dirs, lo, hi = tab.T, tab.basis, tab.dirs, tab.lo, tab.hi
+    if dirs[enter] < 0:
+        T[:, -1] += hi[enter] * T[:, enter]
+    out = basis[leave]
+    T[leave, -1] -= lo[out] if side > 0 else hi[out]
+    dirs[out] = side if lo[out] < hi[out] else 0.0
+    dirs[enter] = 0.0
     prow = T[leave] / T[leave, enter]
     T -= T[:, enter, None] * prow
     T[leave] = prow
     basis[leave] = enter
 
 
-def _pivot_loop(T: np.ndarray, basis: np.ndarray, cost: np.ndarray, budget: int) -> str:
-    """Run Bland-rule simplex pivots in place on tableau T, m x (ncols+1)
-    with the rhs in the last column and b >= 0 maintained throughout, and
-    basis, an intp array whose column basis[r] is the exact unit vector e_r
-    (see _pivot). Returns 'optimal' or 'unbounded'. The reduced costs are
-    recomputed from cost on every pivot rather than carried as a tableau
-    row, so rounding never accumulates in them."""
-    ncols = T.shape[1] - 1
-    for _ in range(budget):
-        # A basic column's reduced cost is cost[j] - cost[j] * 1 = 0: never eligible.
-        reduced = cost - cost[basis] @ T[:, :ncols]
-        # Bland: the smallest-index improving column enters.
-        eligible = reduced < -_PIVOT_TOL
-        enter = int(eligible.argmax())
-        if not eligible[enter]:
-            return "optimal"
-        col = T[:, enter]
-        rows = (col > _PIVOT_TOL).nonzero()[0]
-        if rows.size == 0:
-            return "unbounded"
-        ratios = T[rows, ncols] / col[rows]
-        # Bland tie-break: among minimizing rows leave the smallest basic index.
-        tied = rows[ratios <= ratios.min() + _PIVOT_TOL]
-        leave = int(tied[basis[tied].argmin()])
-        _pivot(T, basis, leave, enter)
-    raise NumericalFailure(f"pivot budget {budget} exhausted")
-
-
 @dataclass
 class _Tableau:
-    """A phase-two simplex tableau: T with the rhs in its last column, the
-    basic column of each row, the phase-two costs, the pivot budget, and
-    the surplus column of the problem's last row (-1 when it has none)."""
+    """A bounded simplex tableau of a problem with its lower bounds
+    shifted to zero and one slack per row: T is B^-1 [A I], m x (ncols+1),
+    with the basic values in its last column, and basis[r] is row r's basic
+    column. lo and hi bound every column. A nonbasic column sits at a
+    finite bound, and dirs gives the way it can move from there: +1 up
+    from lo, -1 down from hi, and 0 for a basic or fixed column. cost is
+    the min-sense cost of every column and budget each loop's pivot
+    budget."""
 
     T: np.ndarray
     basis: np.ndarray
+    dirs: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
     cost: np.ndarray
     budget: int
-    surplus: int
 
 
-def _dual_pivot_loop(T: np.ndarray, basis: np.ndarray, cost: np.ndarray, budget: int) -> str:
-    """Run dual-simplex pivots (Lemke 1954) on a tableau whose reduced
-    costs are optimal but whose rhs has gone negative, in place, until the
-    rhs is nonnegative again.
+def _dual_loop(tab: _Tableau, cost: np.ndarray) -> str:
+    """Run dual-simplex pivots (Lemke 1954) in place on a tableau whose
+    reduced costs under cost are dual feasible, until every basic value is
+    within its bounds: 'optimal', or 'infeasible' when a row cannot be
+    brought in.
 
-    The leaving row is the negative-rhs row with the smallest basic index;
-    the entering column has a negative entry in that row and the least
-    reduced / |entry|, ties to the smallest index. Returns 'optimal' once
-    the rhs is feasible again, or 'infeasible' when a negative row has no
-    negative entry to pivot on. As in _pivot_loop, column basis[r] must be
-    the exact unit vector e_r.
-    """
+    Bland's rule: the leaving row is the out-of-bounds row with the
+    smallest basic index, and it leaves at the bound it broke. The entering
+    column is a nonbasic column that can move in the direction that brings
+    the row toward that bound, with the least |reduced cost / entry|, ties
+    to the smallest index."""
+    T, basis, dirs, lo, hi = tab.T, tab.basis, tab.dirs, tab.lo, tab.hi
     ncols = T.shape[1] - 1
-    for _ in range(budget):
-        short = (T[:, ncols] < -_PIVOT_TOL).nonzero()[0]
-        if short.size == 0:
+    vals = T[:, -1]
+    low, high = lo[basis] - _PIVOT_TOL, hi[basis] + _PIVOT_TOL
+    # Carried across pivots here; the primal loop recomputes them afresh.
+    reduced = cost - cost[basis] @ T[:, :ncols]
+    for _ in range(tab.budget):
+        out = ((vals < low) | (vals > high)).nonzero()[0]
+        if out.size == 0:
             return "optimal"
-        leave = int(short[basis[short].argmin()])
+        leave = int(out[basis[out].argmin()])
+        below = vals[leave] < low[leave]
+        # Raising column j by t lowers row leave's value by T[leave, j] * t.
         row = T[leave, :ncols]
-        # A basic column's entry is exactly 0 or 1 (see _pivot), never negative.
-        cols = (row < -_PIVOT_TOL).nonzero()[0]
+        moves = row * dirs
+        cols = (moves < -_PIVOT_TOL if below else moves > _PIVOT_TOL).nonzero()[0]
         if cols.size == 0:
             return "infeasible"
-        ratios = (cost[cols] - cost[basis] @ T[:, cols]) / -row[cols]
+        ratios = np.abs(reduced[cols] / row[cols])
         enter = int(cols[(ratios <= ratios.min() + _PIVOT_TOL).argmax()])
-        _pivot(T, basis, leave, enter)
-    raise NumericalFailure(f"dual pivot budget {budget} exhausted")
+        _pivot(tab, leave, enter, 1.0 if below else -1.0)
+        reduced -= reduced[enter] * T[leave, :ncols]
+        low[leave], high[leave] = lo[enter] - _PIVOT_TOL, hi[enter] + _PIVOT_TOL
+    raise NumericalFailure(f"dual pivot budget {tab.budget} exhausted")
+
+
+def _primal_loop(tab: _Tableau) -> str:
+    """Run bounded primal-simplex pivots (Bland) in place on a tableau
+    whose basic values are within their bounds (up to _PIVOT_TOL), until
+    no column improves tab.cost: 'optimal' or 'unbounded'.
+
+    The entering column is the smallest-index nonbasic column whose
+    reduced cost improves in the direction it can move. It moves until it
+    reaches its other bound, which flips it without a pivot, or until a
+    basic value reaches a bound; among tied rows the smallest basic index
+    leaves. The reduced costs are recomputed from cost on every pass
+    rather than carried as a tableau row, so rounding never accumulates in
+    them."""
+    T, basis, dirs, lo, hi, cost = tab.T, tab.basis, tab.dirs, tab.lo, tab.hi, tab.cost
+    ncols = T.shape[1] - 1
+    for _ in range(tab.budget):
+        # A basic column's reduced cost is cost[j] - cost[j] * 1 = 0.
+        eligible = (cost - cost[basis] @ T[:, :ncols]) * dirs < -_PIVOT_TOL
+        enter = int(eligible.argmax())
+        if not eligible[enter]:
+            return "optimal"
+        # Moving enter by dirs[enter] * t moves basic value r by -col[r] * t.
+        col = T[:, enter] * dirs[enter]
+        vals, lob, hib = T[:, -1], lo[basis], hi[basis]
+        falls = col > _PIVOT_TOL
+        rows = (falls | (col < -_PIVOT_TOL)).nonzero()[0]
+        room = np.where(falls[rows], vals[rows] - lob[rows], hib[rows] - vals[rows])
+        ratios = np.maximum(room / np.abs(col[rows]), 0.0)
+        least = ratios.min(initial=math.inf)
+        span = hi[enter] - lo[enter]
+        if span <= least:
+            if span == math.inf:
+                return "unbounded"
+            T[:, -1] -= dirs[enter] * span * T[:, enter]
+            dirs[enter] = -dirs[enter]
+            continue
+        tied = rows[ratios <= least + _PIVOT_TOL]
+        leave = int(tied[basis[tied].argmin()])
+        _pivot(tab, leave, enter, 1.0 if falls[leave] else -1.0)
+    raise NumericalFailure(f"pivot budget {tab.budget} exhausted")
 
 
 def solve(problem: LpProblem) -> LpSolution:
-    """Two-phase simplex over the given problem, read from its arrays, or
-    a dual-simplex resume when problem's target is one above the last
-    target its family solved (see LpProblem.retarget).
+    """Bounded dual simplex over the given problem, read from its arrays,
+    cold or resumed from the last optimal tableau of its family (see
+    LpProblem.retarget).
 
-    Cold: _optimize builds the tableau and runs both phases. Warm: the
-    family record holds the phase-two tableau of the last target, kept
-    only when its last row was given as ">=", stayed unflipped (its
-    shifted rhs was positive) and survived phase one; s is that row's
-    surplus column. Since B^-1 e_last = -T[:, s],
-    raising that row's rhs by one is T[:, rhs] -= T[:, s]; dual-simplex
-    pivots then restore a nonnegative rhs (or prove the target infeasible),
-    and one primal pass cleans up reduced costs left just inside the
-    pivoting tolerance. Either way _read checks the residuals and
-    recomputes the objective from the original coefficients.
+    Cold: _optimize builds the slack-basis tableau and runs the dual loop,
+    then the primal loop. Warm: the family record holds the optimal
+    tableau of the last target solved. Setting the last row's rhs from
+    that target to this one moves the basic values by the change times
+    B^-1 e_last, which is the tableau column of the last row's slack; the
+    dual loop then brings every basic value back within its bounds (or
+    proves the target infeasible) and the primal loop cleans up reduced
+    costs left just inside the pivoting tolerance. Either way _read checks
+    the residuals and recomputes the objective from the original
+    coefficients.
     """
     if problem.num_vars == 0:
         # Every row reads 0 (relation) rhs, so the rows alone decide.
@@ -317,17 +360,15 @@ def solve(problem: LpProblem) -> LpSolution:
     family = problem._family
     tab = None
     if family is not None:
-        last, prev = family
-        # The record is spent however this solve ends; a finished solve
+        last, tab = family
+        # The record is spent however this solve ends; an optimal solve
         # refills it.
         family[:] = math.nan, None
-        if problem.rhs[-1] == last + 1:
-            tab = prev
     if tab is not None:
-        tab.T[:, -1] -= tab.T[:, tab.surplus]
-        status = _dual_pivot_loop(tab.T, tab.basis, tab.cost, tab.budget)
+        tab.T[:, -1] += (problem.rhs[-1] - last) * tab.T[:, -2]
+        status = _dual_loop(tab, tab.cost)
         if status == "optimal":
-            status = _pivot_loop(tab.T, tab.basis, tab.cost, tab.budget)
+            status = _primal_loop(tab)
     else:
         status, tab = _optimize(problem)
     if status == "infeasible":
@@ -335,108 +376,59 @@ def solve(problem: LpProblem) -> LpSolution:
     if status == "unbounded":
         return _UNBOUNDED
     sol = _read(problem, tab)
-    if family is not None and tab.surplus >= 0:
+    if family is not None:
         family[:] = problem.rhs[-1], tab
     return sol
 
 
-def _optimize(problem: LpProblem) -> tuple[str, _Tableau | None]:
-    """Build problem's tableau and run the two phases from scratch.
+def _optimize(problem: LpProblem) -> tuple[str, _Tableau]:
+    """Solve problem cold from its slack basis.
 
-    Lower bounds are shifted to zero and finite upper bounds become
-    explicit rows. Rows are then negated so every rhs is nonnegative, and
-    a ">=" row whose rhs is exactly zero is negated into a "<=" row, so it
-    starts from its slack. Phase one runs only when "=" rows or ">=" rows
-    with a positive rhs remain; each of those gets an artificial, and the
-    artificials still basic at zero are pivoted out with the same step as
-    every other pivot. Returns the status and, unless infeasible, the
-    phase-two tableau.
+    Lower bounds are shifted to zero, and row i gets the slack s_i in
+    A x + s = rhs, bounded by the row's relation: [0, +inf) for "<=",
+    (-inf, 0] for ">=" and [0, 0] for "=". Each variable starts at the
+    bound its cost favours, so the slack basis is dual feasible; a
+    variable whose cost favours an infinite upper bound starts at its lower
+    bound with its cost zeroed for the dual loop only. The dual loop then
+    brings the slacks within their bounds, and the primal loop finishes on
+    the true costs. Returns the status and the final tableau.
     """
-    nvar = problem.num_vars
-    lo = problem.bounds[:, 0]
-    hi = problem.bounds[:, 1]
+    nvar, m = problem.num_vars, len(problem.relations)
+    ncols = nvar + m
+    lo, hi = problem.bounds[:, 0], problem.bounds[:, 1]
     c = problem.objective if problem.sense == "min" else -problem.objective
-
-    # Every finite upper bound gets a row, hi == lo included: its row
-    # x' <= 0 is what pins the shifted variable at zero.
-    capped = np.flatnonzero(np.isfinite(hi))
-    m_in = len(problem.relations)
-    m = m_in + capped.size
-    b = np.concatenate((problem.rhs - problem.A @ lo, hi[capped] - lo[capped]))
     le, ge, _ = problem._masks
-    le = np.concatenate((le, np.ones(capped.size, dtype=bool)))
-    ge = np.concatenate((ge, np.zeros(capped.size, dtype=bool)))
-
-    # Flip negative rhs rows so b >= 0, and also flip ">=" rows whose rhs
-    # is exactly zero: as "<=" rows their slack is a feasible starting
-    # basis, so they need neither a surplus nor an artificial.
-    flip = (b < 0) | ((b == 0) & ge)
-    b[flip] = np.abs(b[flip])  # abs, not negation: keeps a zero rhs at +0.0
-    le, ge = np.where(flip, ge, le), np.where(flip, le, ge)
-
-    slack_rows = np.flatnonzero(le)
-    surplus_rows = np.flatnonzero(ge)
-    art_rows = np.flatnonzero(~le)
-    first_art = nvar + slack_rows.size + surplus_rows.size
-    ncols = first_art + art_rows.size
-    T = np.zeros((m, ncols + 1))
-    T[:m_in, :nvar] = problem.A
-    T[m_in + np.arange(capped.size), capped] = 1.0
-    T[flip, :nvar] = -T[flip, :nvar]
-    T[:, ncols] = b
-    basis = np.empty(m, dtype=np.intp)
-    basis[slack_rows] = nvar + np.arange(slack_rows.size)
-    T[slack_rows, basis[slack_rows]] = 1.0
-    T[surplus_rows, nvar + slack_rows.size + np.arange(surplus_rows.size)] = -1.0
-    basis[art_rows] = first_art + np.arange(art_rows.size)
-    T[art_rows, basis[art_rows]] = 1.0
-    # Bound rows are "<=" rows with a nonnegative rhs, so a ">=" last row of
-    # the problem owns the last surplus column. Only a row given as ">="
-    # and left unflipped can be resumed: raising the rhs of a flipped row
-    # lowers its tableau rhs instead.
-    resumable = m_in and problem.relations[-1] == ">=" and not flip[m_in - 1]
-    surplus = first_art - 1 if resumable else -1
-
-    budget = 50 * (ncols + m)
-
-    if art_rows.size:
-        cost1 = np.zeros(ncols)
-        cost1[first_art:] = 1.0
-        status = _pivot_loop(T, basis, cost1, budget)
-        if status != "optimal":
-            # Phase one is bounded below by 0, so this only happens when the
-            # tableau has lost its numerical integrity.
-            raise NumericalFailure(f"phase one came back {status}")
-        scale = max(1.0, float(b.max()))
-        if cost1[basis] @ T[:, ncols] > 1e-8 * scale:
-            return "infeasible", None
-        # Pivot leftover zero-valued artificials out of the basis when possible.
-        for i in np.flatnonzero(basis >= first_art):
-            options = np.flatnonzero(np.abs(T[i, :first_art]) > _PIVOT_TOL)
-            if options.size:
-                _pivot(T, basis, i, options[0])
-        # Drop the artificial columns and the rows whose artificial stayed.
-        # B^-1 e_last = -T[:, surplus] needs the last row kept.
-        keep = basis < first_art
-        if surplus >= 0 and not keep[m_in - 1]:
-            surplus = -1
-        T = T[np.ix_(keep, np.r_[:first_art, ncols])]
-        basis = basis[keep]
-        ncols = first_art
-
-    cost2 = np.zeros(ncols)
-    cost2[:nvar] = c
-    status = _pivot_loop(T, basis, cost2, budget)
-    return status, _Tableau(T, basis, cost2, budget, surplus)
+    cost = np.concatenate((c, np.zeros(m)))
+    span = hi - lo
+    up = c < 0
+    capped = np.isfinite(span)
+    tab = _Tableau(
+        T=np.empty((m, ncols + 1)),
+        basis=nvar + np.arange(m),
+        dirs=np.zeros(ncols),
+        lo=np.concatenate((np.zeros(nvar), np.where(ge, -math.inf, 0.0))),
+        hi=np.concatenate((span, np.where(le, math.inf, 0.0))),
+        cost=cost,
+        budget=50 * (ncols + m),
+    )
+    tab.dirs[:nvar] = np.where(up & capped, -1.0, 1.0) * (span > 0)
+    tab.T[:, :nvar] = problem.A
+    tab.T[:, nvar:-1] = np.eye(m)
+    tab.T[:, -1] = problem.rhs - problem.A @ (lo + np.where(up & capped, span, 0.0))
+    dual_cost = cost.copy()
+    dual_cost[:nvar][up & ~capped] = 0.0
+    status = _dual_loop(tab, dual_cost)
+    if status == "optimal":
+        status = _primal_loop(tab)
+    return status, tab
 
 
 def _read(problem: LpProblem, tab: _Tableau) -> LpSolution:
     """The optimal point of tab in problem's variables. Every row's
     residual is checked, and the objective is recomputed from the original
     coefficients so tableau drift never leaks into comparisons."""
-    T = tab.T
-    x_shift = np.zeros(T.shape[1] - 1)
-    x_shift[tab.basis] = T[:, -1]
+    x_shift = np.where(tab.dirs < 0, tab.hi, tab.lo)
+    x_shift[tab.basis] = tab.T[:, -1]
     x = problem.bounds[:, 0] + x_shift[: problem.num_vars]
 
     resid = problem.A @ x - problem.rhs

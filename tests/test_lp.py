@@ -154,8 +154,8 @@ def test_equal_bounds_pin_the_variable():
 
 
 # ------------------------------------------------- zero-rhs ">=" row path
-# solve() negates ">=" rows with a zero (shifted) rhs into "<=" rows so their
-# slack starts basic. These cases pin that path against vertex enumeration.
+# The relaxations' coverage rows are ">=" rows with a zero (shifted) rhs.
+# These cases pin them against vertex enumeration.
 
 
 def assert_matches_enumeration(lp):
@@ -208,33 +208,39 @@ def test_lower_bound_shifts_rhs_to_zero():
 
 
 def test_zero_rhs_rows_need_no_phase_one(monkeypatch):
-    # With only "<=" rows and zero-rhs ">=" rows the slack basis is feasible,
-    # so the simplex runs a single (phase two) pivot loop.
+    # Every row starts from its slack, ">=" rows with a zero rhs included:
+    # there is no phase one. Minimizing y, every variable starts at its
+    # lower bound, which meets every row, so the cold start is optimal as
+    # it stands. Maximizing y starts it at 1 and each coverage row out of
+    # bounds, and dual pivots bring x in.
     import faircover.lp as lp_mod
 
-    calls = []
-    real = lp_mod._pivot_loop
+    pivots = []
+    real = lp_mod._pivot
 
     def counting(*args):
-        calls.append(1)
+        pivots.append(1)
         return real(*args)
 
-    monkeypatch.setattr(lp_mod, "_pivot_loop", counting)
-    lp = LpProblem("max", [0.0, 0.0, 1.0, 1.0],
-                   [[1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, -1.0], [1.0, 1.0, 0.0, 0.0]],
-                   [">=", ">=", "<="], [0.0, 0.0, 1.0])
-    sol = solve(lp)
-    assert sol.status == "optimal"
+    monkeypatch.setattr(lp_mod, "_pivot", counting)
+    parts = ([[1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, -1.0], [1.0, 1.0, 0.0, 0.0]],
+             [">=", ">=", "<="], [0.0, 0.0, 1.0])
+    sol = solve(LpProblem("min", [0.0, 0.0, 1.0, 1.0], *parts))
+    assert sol.status == "optimal" and sol.values.tolist() == [0.0] * 4
+    assert pivots == []
+    sol = assert_matches_enumeration(LpProblem("max", [0.0, 0.0, 1.0, 1.0], *parts))
     assert sol.objective == pytest.approx(1.0, abs=FEAS_TOL)
-    assert len(calls) == 1
+    assert pivots
 
 
-def test_phase_one_failure_is_typed(monkeypatch):
-    # A phase-one loop that does not end optimal must surface as a
-    # NumericalFailure, not a bare assert that python -O would strip.
+def test_point_left_off_its_rows_is_typed(monkeypatch):
+    # A loop that stops with a row unmet must surface as a NumericalFailure
+    # from _read's residual check, not as a wrong answer or a bare assert
+    # that python -O would strip. Here the dual loop stops at once, so the
+    # "=" row's slack keeps the value 1 its bounds [0, 0] forbid.
     import faircover.lp as lp_mod
 
-    monkeypatch.setattr(lp_mod, "_pivot_loop", lambda *args: "unbounded")
+    monkeypatch.setattr(lp_mod, "_dual_loop", lambda tab, cost: "optimal")
     lp = LpProblem("min", [1.0, 2.0], [[1.0, 1.0]], ["="], [1.0])
     with pytest.raises(NumericalFailure):
         solve(lp)
@@ -244,36 +250,45 @@ def test_phase_one_failure_is_typed(monkeypatch):
 
 
 def test_pivot_budget_exhaustion_is_typed():
-    # min -x0 - x1 with slack rows x0 <= 1, x1 <= 1 needs two pivots from
-    # the slack basis and a third pass to see that no column improves: a
-    # budget of two passes must fail loudly, three must finish.
+    # min -x0 - x1 with slack rows x0 <= 1, x1 <= 1 needs two primal steps
+    # from the slack basis and a third pass to see that no column improves:
+    # a budget of two passes must fail loudly, three must finish. With
+    # open bounds both steps are pivots; with x0, x1 capped at 1 both are
+    # bound flips, which spend the budget alike.
     import faircover.lp as lp_mod
 
-    def tableau():
+    def tableau(hi, budget):
         T = np.array([[1.0, 0.0, 1.0, 0.0, 1.0], [0.0, 1.0, 0.0, 1.0, 1.0]])
-        return T, np.array([2, 3], dtype=np.intp)
+        return lp_mod._Tableau(
+            T, np.array([2, 3]), np.array([1.0, 1.0, 0.0, 0.0]), np.zeros(4),
+            np.array([hi, hi, math.inf, math.inf]), np.array([-1.0, -1.0, 0.0, 0.0]), budget)
 
-    cost = np.array([-1.0, -1.0, 0.0, 0.0])
-    T, basis = tableau()
-    with pytest.raises(NumericalFailure):
-        lp_mod._pivot_loop(T, basis, cost, 2)
-    T, basis = tableau()
-    assert lp_mod._pivot_loop(T, basis, cost, 3) == "optimal"
-    assert sorted(basis.tolist()) == [0, 1]
-    assert T[:, -1].tolist() == [1.0, 1.0]
+    for hi, basis, values in ((math.inf, [0, 1], [1.0, 1.0]), (1.0, [2, 3], [0.0, 0.0])):
+        with pytest.raises(NumericalFailure):
+            lp_mod._primal_loop(tableau(hi, 2))
+        tab = tableau(hi, 3)
+        assert lp_mod._primal_loop(tab) == "optimal"
+        assert sorted(tab.basis.tolist()) == basis
+        assert tab.T[:, -1].tolist() == values
 
 
 def test_ratio_tie_leaves_smallest_basic_index():
-    # max x1 s.t. x0 + x1 - x2 = 1 on [0, 1]^3 has optima (0, 1, 0) and
-    # (1, 1, 1). Phase one's first pivot brings x0 in with a ratio tie
-    # between the equality row (basic: its artificial, the largest column)
-    # and the bound row x0 <= 1 (basic: its slack). Bland's rule drops the
-    # slack, which leads to (1, 1, 1); leaving the first tied row or the
-    # largest basic index would end at (0, 1, 0).
-    lp = LpProblem("max", [0.0, 1.0, 0.0], [[1.0, 1.0, -1.0]], ["="], [1.0])
-    sol = assert_matches_enumeration(lp)
-    assert sol.values.tolist() == [1.0, 1.0, 1.0]
-    assert sol.objective == 1.0
+    # max x1 + x2 - x3 over three "<=" rows with rhs 1 starts feasible, with
+    # x1 and x2 at 0 (their costs favour an open upper bound), so the
+    # primal loop runs alone. Its first pivot brings x1 in with a ratio tie
+    # between rows 0 and 1, whose slacks (columns 4 and 5) are basic.
+    # Bland's rule drops the slack of row 0, which leads to (0, 1, 2, 0);
+    # dropping the larger basic index would end at (0, 2, 2, 1). Both score
+    # 3, the optimum: the duals (2, 0, 1) bound it.
+    lp = LpProblem(
+        "max", [0.0, 1.0, 1.0, -1.0],
+        [[1.0, 1.0, 0.0, -1.0], [1.0, 1.0, -1.0, 1.0], [0.0, -1.0, 1.0, 1.0]],
+        ["<="] * 3, [1.0] * 3,
+        bounds=[(0.0, 1.0)] + [(0.0, math.inf)] * 3,
+    )
+    sol = solve(lp)
+    assert sol.values.tolist() == [0.0, 1.0, 2.0, 0.0]
+    assert sol.objective == 3.0
 
 
 # ------------------------------------------- randomized oracle cross-check
@@ -522,6 +537,8 @@ def highs_solve(lp):
     )
     if res.status == 2:
         return "infeasible", None
+    if res.status == 3:
+        return "unbounded", None
     assert res.status == 0, res.message
     return "optimal", sign * res.fun
 
@@ -563,6 +580,52 @@ def test_solver_matches_highs_on_c01_relaxations():
                     infeasible += 1
     # Both outcomes must occur for the comparison to mean anything.
     assert optimal > 100 and infeasible > 20
+
+
+def random_open_lp(rng):
+    """A random LP of 1-4 variables and 1-4 rows whose bounds start at -1,
+    0 or 1 and span 0, 1, 2 or no limit, with costs of both signs."""
+    n = int(rng.integers(1, 5))
+    m = int(rng.integers(1, 5))
+    objective = rng.integers(-3, 4, size=n).astype(float)
+    A = rng.integers(-2, 3, size=(m, n)).astype(float)
+    relations = rng.choice(["<=", ">=", "="], size=m, p=[0.5, 0.35, 0.15]).tolist()
+    rhs = rng.integers(-1, 4, size=m).astype(float)
+    lo = rng.integers(-1, 2, size=n).astype(float)
+    hi = lo + rng.choice([0.0, 1.0, 2.0, math.inf, math.inf], size=n)
+    sense = "max" if rng.random() < 0.5 else "min"
+    return LpProblem(sense, objective, A, relations, rhs, np.column_stack([lo, hi]))
+
+
+def test_solver_matches_highs_with_open_upper_bounds(monkeypatch):
+    # A cost that favours an infinite upper bound is the one case the cold
+    # start cannot put at its bound: the variable starts at its lower bound,
+    # with its cost zeroed so the dual loop still starts dual feasible, and
+    # the primal loop moves it or finds the problem unbounded.
+    pytest.importorskip("scipy")
+    import faircover.lp as lp_mod
+
+    real = lp_mod._dual_loop
+
+    def dual_feasible_start(tab, cost):
+        # No nonbasic column improves cost in the direction it can move.
+        reduced = cost - cost[tab.basis] @ tab.T[:, :-1]
+        assert (reduced * tab.dirs >= -lp_mod._PIVOT_TOL).all(), reduced
+        return real(tab, cost)
+
+    monkeypatch.setattr(lp_mod, "_dual_loop", dual_feasible_start)
+    rng = np.random.default_rng(20241019)
+    seen = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    for _ in range(200):
+        lp = random_open_lp(rng)
+        sol = solve(lp)
+        status, val = highs_solve(lp)
+        assert sol.status == status, (lp, sol.status, status)
+        seen[status] += 1
+        if status == "optimal":
+            assert abs(sol.objective - val) <= 1e-6 * (1.0 + abs(val)), (lp, sol.objective, val)
+    # Every outcome must occur for the comparison to mean anything.
+    assert min(seen.values()) > 10, seen
 
 
 def test_sweep_retargets_one_relaxation_per_round():
@@ -689,32 +752,41 @@ def test_warm_sweep_matches_cold_solves_on_c01_states(monkeypatch):
 
 
 def test_dual_pivot_budget_exhaustion_is_typed(monkeypatch):
-    # x0 + x1 >= 1 as -x0 - x1 + s = -1 with s basic: one dual pivot (x0
-    # enters, its ratio 1/1 beats x1's 2/1) and a pass to see the rhs is
-    # feasible. A budget of one pass fails loudly, two finish.
+    # x0 + x1 >= 1 as x0 + x1 + s = 1 with s in (-inf, 0] basic at 1: one
+    # dual pivot (x0 enters, its ratio 1/1 beats x1's 2/1) and a pass to
+    # see every value is within bounds. A budget of one pass fails loudly,
+    # two finish.
     import faircover.lp as lp_mod
 
-    def tableau():
-        return np.array([[-1.0, -1.0, 1.0, -1.0]]), np.array([2], dtype=np.intp)
+    def tableau(row, budget):
+        return lp_mod._Tableau(
+            np.array([row]), np.array([2]), np.array([1.0, 1.0, 0.0]),
+            np.array([0.0, 0.0, -math.inf]), np.array([1.0, 1.0, 0.0]),
+            np.array([1.0, 2.0, 0.0]), budget)
 
     cost = np.array([1.0, 2.0, 0.0])
-    T, basis = tableau()
     with pytest.raises(NumericalFailure):
-        lp_mod._dual_pivot_loop(T, basis, cost, 1)
-    T, basis = tableau()
-    assert lp_mod._dual_pivot_loop(T, basis, cost, 2) == "optimal"
-    assert basis.tolist() == [0] and T.tolist() == [[1.0, 1.0, -1.0, 1.0]]
-    # A negative row without a negative entry proves the target infeasible.
-    T = np.array([[1.0, 1.0, 1.0, -1.0]])
-    assert lp_mod._dual_pivot_loop(T, np.array([2], dtype=np.intp), cost, 2) == "infeasible"
+        lp_mod._dual_loop(tableau([1.0, 1.0, 1.0, 1.0], 1), cost)
+    tab = tableau([1.0, 1.0, 1.0, 1.0], 2)
+    assert lp_mod._dual_loop(tab, cost) == "optimal"
+    assert tab.basis.tolist() == [0] and tab.T.tolist() == [[1.0, 1.0, 1.0, 1.0]]
+    assert tab.dirs.tolist() == [0.0, 1.0, -1.0]
+    # -x0 - x1 + s = 1 leaves s above its bound with nothing that lowers it:
+    # the target is infeasible.
+    assert lp_mod._dual_loop(tableau([-1.0, -1.0, 1.0, 1.0], 2), cost) == "infeasible"
 
     # Through solve(): a warm target whose dual loop runs out of budget
     # raises instead of falling back to a cold solve.
-    real = lp_mod._dual_pivot_loop
-    monkeypatch.setattr(lp_mod, "_dual_pivot_loop", lambda T, b, c, budget: real(T, b, c, 0))
     sys_ = square_system()
     first = build_weighted_mkcc_lp(sys_, [[0, 1], [2, 3]], range(6), [1, 1], 1)
     assert solve(first.retarget(1)).status == "optimal"
+    real = lp_mod._dual_loop
+
+    def starved(tab, cost):
+        tab.budget = 0
+        return real(tab, cost)
+
+    monkeypatch.setattr(lp_mod, "_dual_loop", starved)
     with pytest.raises(NumericalFailure):
         solve(first.retarget(2))
     # The failed resume spent the record, so a retry solves cold.
@@ -724,23 +796,25 @@ def test_dual_pivot_budget_exhaustion_is_typed(monkeypatch):
     assert retry.values.tobytes() == cold.values.tobytes()
 
 
-def test_flipped_last_row_is_not_resumed(monkeypatch):
-    # -x <= -0.5 is solved as x >= 0.5: raising the given rhs to 0.5 lowers
-    # the flipped row's rhs, so a resume from the first tableau would solve
-    # x >= 1.5 instead. The second target must get the cold answer.
+def test_negative_last_rhs_is_resumed(monkeypatch):
+    # -x <= -0.5 is x >= 0.5 written with a negative rhs. Raising the rhs to
+    # 0.5 resumes from the first tableau, like any retarget, and gets the
+    # cold answer x = 0.
     first = LpProblem("min", [1.0], [[-1.0]], ["<="], [-0.5])
     cold_starts = count_cold_solves(monkeypatch)
     assert solve(first.retarget(-0.5)).values.tolist() == [0.5]
     raised = solve(first.retarget(0.5))
-    assert len(cold_starts) == 2
+    assert len(cold_starts) == 1
     cold = solve(LpProblem("min", [1.0], [[-1.0]], ["<="], [0.5]))
     assert raised.status == cold.status == "optimal"
     assert raised.values.tolist() == cold.values.tolist() == [0.0]
 
 
-def test_out_of_order_or_repeated_target_solves_cold(monkeypatch):
-    # solve() resumes only the target after the one its family solved last;
-    # a repeated, skipped or lowered target gets exactly the cold answer.
+def test_out_of_order_or_repeated_target_resumes(monkeypatch):
+    # solve() resumes every target of a family from the last one it solved,
+    # repeated, skipped and lowered targets included, and each gets the
+    # cold solve's status and objective. Only the family's first solve is
+    # cold.
     sys_, spec = c01_instance(2)
     per_round = spec.per_round
     remaining = sys_.sets_by_color
@@ -748,15 +822,10 @@ def test_out_of_order_or_repeated_target_solves_cold(monkeypatch):
     first = build_weighted_mkcc_lp(sys_, remaining, targets, per_round, 1)
 
     cold_starts = count_cold_solves(monkeypatch)
-    steps = [(1, False), (2, True), (3, True), (3, False), (5, False), (2, False), (3, True)]
-    for tau, resumed in steps:
+    for step, tau in enumerate((1, 2, 3, 3, 5, 2, 3)):
         before = len(cold_starts)
         warm = solve(first.retarget(tau))
-        assert (len(cold_starts) == before) == resumed, tau
+        assert len(cold_starts) == before + (step == 0), tau
         cold = solve(build_weighted_mkcc_lp(sys_, remaining, targets, per_round, tau))
         assert warm.status == cold.status == "optimal"
-        if resumed:
-            assert objective_close(warm.objective, cold.objective), tau
-        else:
-            assert warm.values.tobytes() == cold.values.tobytes(), tau
-            assert warm.objective == cold.objective, tau
+        assert objective_close(warm.objective, cold.objective), tau
