@@ -390,8 +390,8 @@ def _optimize(problem: LpProblem) -> tuple[str, _Tableau]:
     bound its cost favours, so the slack basis is dual feasible; a
     variable whose cost favours an infinite upper bound starts at its lower
     bound with its cost zeroed for the dual loop only. The dual loop then
-    brings the slacks within their bounds, and the primal loop finishes on
-    the true costs. Returns the status and the final tableau.
+    brings every basic value within its bounds, and the primal loop
+    finishes on the true costs. Returns the status and the final tableau.
     """
     nvar, m = problem.num_vars, len(problem.relations)
     ncols = nvar + m
@@ -400,8 +400,7 @@ def _optimize(problem: LpProblem) -> tuple[str, _Tableau]:
     le, ge, _ = problem._masks
     cost = np.concatenate((c, np.zeros(m)))
     span = hi - lo
-    up = c < 0
-    capped = np.isfinite(span)
+    at_hi = (c < 0) & np.isfinite(span)
     tab = _Tableau(
         T=np.empty((m, ncols + 1)),
         basis=nvar + np.arange(m),
@@ -411,12 +410,12 @@ def _optimize(problem: LpProblem) -> tuple[str, _Tableau]:
         cost=cost,
         budget=50 * (ncols + m),
     )
-    tab.dirs[:nvar] = np.where(up & capped, -1.0, 1.0) * (span > 0)
+    tab.dirs[:nvar] = np.where(at_hi, -1.0, 1.0) * (span > 0)
     tab.T[:, :nvar] = problem.A
     tab.T[:, nvar:-1] = np.eye(m)
-    tab.T[:, -1] = problem.rhs - problem.A @ (lo + np.where(up & capped, span, 0.0))
+    tab.T[:, -1] = problem.rhs - problem.A @ (lo + np.where(at_hi, span, 0.0))
     dual_cost = cost.copy()
-    dual_cost[:nvar][up & ~capped] = 0.0
+    dual_cost[:nvar][(c < 0) & ~at_hi] = 0.0
     status = _dual_loop(tab, dual_cost)
     if status == "optimal":
         status = _primal_loop(tab)
