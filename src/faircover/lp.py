@@ -22,9 +22,10 @@ column in the basis, the one record of which column is basic. It keeps
 every basic column an exact unit vector, so a basic column's reduced cost
 is exactly 0 and its entries exactly 0 or 1.
 
-solve() has two halves that every path shares: _optimize builds a
-problem's tableau and runs the two loops, and _read turns an optimal
-tableau into a checked LpSolution. LpProblem.retarget(target) gives the
+solve() has two halves: _optimize builds a problem's tableau and runs the
+two loops (a warm resume runs them on a kept tableau instead), and _read,
+which every path shares, turns an optimal tableau into a checked
+LpSolution. LpProblem.retarget(target) gives the
 problem with its last row's rhs set to target; every problem re-targeted
 from one relaxation shares its validated arrays and relation masks, so a
 family is validated once, when its first problem is built, and each
