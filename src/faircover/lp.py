@@ -84,6 +84,7 @@ class LpProblem:
 
     _family: list | None  # [last target, tableau], see retarget()
     _masks: tuple[np.ndarray, ...]  # the "<=", ">=" and "=" rows, as bool arrays
+    _band: tuple[np.ndarray, np.ndarray]  # each row's (lo, hi) for A x - rhs, see _violated
 
     sense: str
     objective: np.ndarray  # (nvar,)
@@ -143,7 +144,8 @@ class LpProblem:
         # Every relation was checked above, so two characters hold each one.
         rel = np.array(rels, dtype="<U2")
         masks = tuple(rel == r for r in _RELATIONS)
-        for a in (obj, A, b, bnds, *masks):
+        band = (np.where(masks[0], -math.inf, 0.0), np.where(masks[1], math.inf, 0.0))
+        for a in (obj, A, b, bnds, *masks, *band):
             a.flags.writeable = False
         self.sense = sense
         self.objective = obj
@@ -152,6 +154,7 @@ class LpProblem:
         self.rhs = b
         self.bounds = bnds
         self._masks = masks
+        self._band = band
         self._family = None
 
     def retarget(self, target: float) -> LpProblem:
@@ -176,7 +179,7 @@ class LpProblem:
         vars(twin).update(
             sense=self.sense, objective=self.objective, A=self.A,
             relations=self.relations, rhs=rhs, bounds=self.bounds,
-            _masks=self._masks, _family=self._family,
+            _masks=self._masks, _band=self._band, _family=self._family,
         )
         return twin
 
@@ -444,10 +447,10 @@ def _read(problem: LpProblem, tab: _Tableau) -> LpSolution:
 
 def _violated(problem: LpProblem, resid: np.ndarray, tol: float) -> np.ndarray:
     """Indices of the rows whose residual A x - rhs breaks the row's
-    relation by more than tol."""
-    le, ge, eq = problem._masks
-    bad = (eq & (np.abs(resid) > tol)) | (le & (resid > tol)) | (ge & (resid < -tol))
-    return bad.nonzero()[0]
+    relation by more than tol: one interval test per row, the interval
+    being (-inf, 0] for "<=", [0, +inf) for ">=" and [0, 0] for "="."""
+    lo, hi = problem._band
+    return ((resid < lo - tol) | (resid > hi + tol)).nonzero()[0]
 
 
 def lp_variable_order(

@@ -1,25 +1,42 @@
-"""Exhaustive reference solvers. Slow on purpose, loud when oversized.
+"""Exhaustive reference solvers: exact, deterministic, loud when oversized.
 
-Each oracle enumerates candidates in a fixed order and returns the
-lexicographically smallest optimum, so repeated runs agree bit for bit.
-Sets are scored through their int bitmasks (SetSystem.masks), and quota
-selections come from the algorithms' tuple enumerator under the same
-TUPLE_BUDGET. A selection is scored on its OR mask (and, in the weighted
-cover oracle, an unsorted weight filter) first; its sorted id tuple is
-built only when it can still tie or beat the best: a full cover, a met
-multicover demand, or a round covering at least as much as the best so
-far (a ratio round builds ids for every tuple covering something).
+Each oracle returns the lexicographically smallest optimum, so repeated
+runs agree bit for bit. Sets are scored through their int bitmasks
+(SetSystem.masks). At each round count t the quota oracles take every
+color's (combination, mask) table from the algorithms' builder
+(_quota_tables), so one TUPLE_BUDGET over the tables' whole product bounds
+them and the exhaustive rounds, and a refusal comes before any scoring.
+
+The largest table at t, of C combinations, holds the completions; the
+product of the other tables, P selections, holds the prefixes. Work per t:
+
+- opt_fair_cover: at most P * C mask tests and one id tuple per prefix.
+  Colors own disjoint ids, so a prefix's first full completion in
+  combinations() order has the least ids of its covers; the scan of that
+  prefix stops there.
+- opt_fair_cover(weighted=True), with positive finite weights and two or
+  more colors of positive share: one sort of the C completions by weight,
+  then each prefix scans them lightest first and stops once prefix plus
+  completion weight passes the best cover's by a relative 1e-9. At most
+  P * C mask tests; only full covers within that margin are weighed, in
+  ascending id order. With one such color, the C completions are scanned
+  in combinations() order and full ones past the margin are dropped
+  unweighed; with other weights, every full cover is weighed.
+- opt_fair_multicover: at most P * C demand tests, each adding one
+  completion to coverage levels computed once per prefix, and one id
+  tuple per prefix: its first completion meeting every demand.
+- opt_mkcc scores all P * C tuples of its round through _best_candidate.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, product
 from typing import Sequence
 
 from .errors import AllTuplesZeroCoverage, BudgetExceeded
 from .model import Cover, FairnessSpec, SetSystem, mask_of, union_of
-from .unweighted import _best_candidate, _ids, _quota_tuples
+from .unweighted import _best_candidate, _ids, _quota_tables, _quota_tuples
 
 MAX_SETS_EXACT = 22
 MAX_SETS_EXACT_MULTI = 20
@@ -68,6 +85,7 @@ def opt_fair_cover(
     whose lower bound (the t * p_h lightest sets of each color h) exceeds
     the best weight by more than a relative 1e-9; that margin keeps the
     (weight, size, selection) tie-break intact under any summation order.
+    Each t is scanned as _least_cover or _lightest_cover says.
     """
     mu = system.num_sets
     if mu > MAX_SETS_EXACT:
@@ -78,43 +96,124 @@ def opt_fair_cover(
     # bound grows with t only when every weight is positive (NaN fails
     # the test too), so other weights scan every t.
     lightest = None
-    if weighted and all(0.0 < system.weight(i) < math.inf for i in range(mu)):
-        lightest = [
-            list(accumulate(sorted(system.weight(i) for i in g), initial=0.0))
-            for g in system.sets_by_color
-        ]
+    if weighted:
+        weights = [system.weight(i) for i in range(mu)]
+        if all(0.0 < w < math.inf for w in weights):
+            lightest = [
+                list(accumulate(sorted(weights[i] for i in g), initial=0.0))
+                for g in system.sets_by_color
+            ]
 
     for t in _fair_sizes(system, spec):
         if lightest is not None and best is not None:
             bound = sum(lightest[h][t * p] for h, p in enumerate(spec.per_round) if p > 0)
             if bound > best[0] * (1 + 1e-9):
                 break
-        found: tuple[int, ...] | None = None
-        counts = [t * p for p in spec.per_round]
-        for parts, acc in _quota_tuples(system.masks, system.sets_by_color, counts):
-            if acc != full:
-                continue
-            if not weighted:
-                sel = _ids(parts)
-                if found is None or sel < found:
-                    found = sel
-                continue
-            # With positive finite weights, a sum in any order is within a
-            # relative few 1e-15 of the sorted-order one, so a candidate past
-            # the margin can neither tie nor beat the best key.
-            if lightest is not None and best is not None and sum(
-                [system.weight(i) for combo, _ in parts for i in combo]
-            ) > best[0] * (1 + 1e-9):
-                continue
-            sel = _ids(parts)
-            key = (sum(system.weight(i) for i in sel), len(sel), sel)
-            if best is None or key < best:
-                best = key
-        if not weighted and found is not None:
-            return Cover.from_selection(system, found)
-    if weighted and best is not None:
+        prefix_tables, completions = _split(system, [t * p for p in spec.per_round])
+        if not weighted:
+            found = _least_cover(prefix_tables, completions, full)
+            if found is not None:
+                return Cover.from_selection(system, found)
+            continue
+        best = _lightest_cover(
+            prefix_tables, completions, full, weights.__getitem__, best, lightest is not None
+        )
+    if best is not None:
         return Cover.from_selection(system, best[2])
     return None
+
+
+def _split(system: SetSystem, counts: Sequence[int]):
+    """The quota tables of counts over the system's colors (_quota_tables)
+    as (prefix tables, completions): the completions are the first table
+    with the most combinations, and the prefix tables are the others in
+    color order. With no positive count, the one completion is the empty
+    selection."""
+    tables = _quota_tables(system.masks, system.sets_by_color, counts) or [[((), 0)]]
+    j = max(range(len(tables)), key=lambda h: len(tables[h]))
+    return tables[:j] + tables[j + 1:], tables[j]
+
+
+def _prefixes(tables):
+    """Every choice of one (combination, mask) per table, as (parts, the
+    OR of their masks)."""
+    for parts in product(*tables):
+        mask = 0
+        for _, m in parts:
+            mask |= m
+        yield parts, mask
+
+
+def _reach(completions) -> int:
+    """The elements some completion covers."""
+    out = 0
+    for _, m in completions:
+        out |= m
+    return out
+
+
+def _least_cover(prefix_tables, completions, full: int) -> tuple[int, ...] | None:
+    """The smallest ascending ids of a full cover made of one prefix and
+    one completion, or None when there is none.
+
+    Colors own disjoint ids, so of two completions of one prefix, the one
+    earlier in combinations() order gives the smaller ascending ids. Each
+    prefix's scan therefore stops at its first full completion, whose ids
+    alone are built: at most one id tuple per prefix."""
+    reach = _reach(completions)
+    found = None
+    for prefix, pm in _prefixes(prefix_tables):
+        if pm | reach != full:
+            continue
+        for part in completions:
+            if pm | part[1] == full:
+                sel = _ids(prefix + (part,))
+                if found is None or sel < found:
+                    found = sel
+                break
+    return found
+
+
+def _lightest_cover(prefix_tables, completions, full: int, weight, best, positive: bool):
+    """best, or a smaller (weight, size, ids) key of a full cover made of
+    one prefix and one completion, its weight summed in ascending id order.
+
+    With positive finite weights, a cover whose weight summed part by part
+    passes best's by more than a relative 1e-9 is dropped unweighed (a sum
+    of positive weights in any order is within a relative few 1e-15 of the
+    ascending one). Given prefix tables, each combination's weight is
+    summed once, the completions are sorted by weight, and each prefix
+    scans them lightest first and stops at the first one dropped; best
+    includes the prefix's first full completion once it is weighed. With a
+    single prefix, the completions are scanned in combinations() order and
+    a full one is dropped on its own weight. Other weights weigh every full
+    cover. Every cover kept is weighed, so ties break as in a scan of
+    every selection."""
+    ordered = positive and bool(prefix_tables)
+    sums = {}
+    if ordered:
+        sums = {c: sum(map(weight, c)) for table in (*prefix_tables, completions) for c, _ in table}
+        completions = sorted(completions, key=lambda part: sums[part[0]])
+    reach = _reach(completions)
+    cut = best[0] * (1 + 1e-9) if positive and best is not None else math.inf
+    for prefix, pm in _prefixes(prefix_tables):
+        if pm | reach != full:
+            continue
+        wp = sum([sums[c] for c, _ in prefix]) if ordered else 0.0
+        for part in completions:
+            if ordered and wp + sums[part[0]] > cut:
+                break
+            if pm | part[1] != full:
+                continue
+            if positive and not ordered and sum(map(weight, part[0])) > cut:
+                continue
+            sel = _ids(prefix + (part,))
+            key = (sum(map(weight, sel)), len(sel), sel)
+            if best is None or key < best:
+                best = key
+                if positive:
+                    cut = key[0] * (1 + 1e-9)
+    return best
 
 
 def opt_mkcc(
@@ -159,21 +258,30 @@ def opt_fair_multicover(instance, spec: FairnessSpec) -> Cover | None:
     ]
     masks = system.masks
     for t in _fair_sizes(system, spec):
+        prefix_tables, completions = _split(system, [t * p for p in spec.per_round])
         found: tuple[int, ...] | None = None
-        counts = [t * p for p in spec.per_round]
-        for parts, _ in _quota_tuples(masks, system.sets_by_color, counts):
-            # got[k]: the elements the selection covers more than k times,
-            # whatever order its sets are read in.
-            got = [0] * len(wants)
-            for combo, _ in parts:
-                for i in combo:
-                    for k in range(len(got) - 1, 0, -1):
-                        got[k] |= got[k - 1] & masks[i]
-                    got[0] |= masks[i]
-            if all(g & w == w for g, w in zip(got, wants)):
-                sel = _ids(parts)
-                if found is None or sel < found:
-                    found = sel
+        # As in _least_cover, each prefix's first completion meeting every
+        # demand has the least ids of its selections that do.
+        for prefix, _ in _prefixes(prefix_tables):
+            base = _levels(masks, [i for combo, _ in prefix for i in combo], [0] * len(wants))
+            for part in completions:
+                got = _levels(masks, part[0], base)
+                if all(g & w == w for g, w in zip(got, wants)):
+                    sel = _ids(prefix + (part,))
+                    if found is None or sel < found:
+                        found = sel
+                    break
         if found is not None:
             return Cover.from_selection(system, found)
     return None
+
+
+def _levels(masks: Sequence[int], ids, got: list[int]) -> list[int]:
+    """got with the sets of ids added: entry k holds the elements covered
+    more than k times, whatever order the sets are read in."""
+    got = list(got)
+    for i in ids:
+        for k in range(len(got) - 1, 0, -1):
+            got[k] |= got[k - 1] & masks[i]
+        got[0] |= masks[i]
+    return got

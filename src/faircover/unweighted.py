@@ -89,14 +89,49 @@ def _best_candidate(candidates, uncovered: int, weight=None) -> tuple[int, ...] 
     (summed in ascending id order) per new element; ties go to the smallest
     ids, and None means no candidate covers a new element. Without weight,
     ids are built only for a candidate covering at least as much as the
-    best so far."""
+    best so far; with weight, see _lightest_candidate."""
+    if weight is not None:
+        return _lightest_candidate(candidates, uncovered, weight)
     best_ids, best = None, 0
     for parts, mask in candidates:
         new = (mask & uncovered).bit_count()
-        if new == 0 or (weight is None and -new > best):
+        if new == 0 or new < best:
             continue
         ids = _ids(parts)
-        score = -new if weight is None else sum(map(weight, ids)) / new
+        if new > best or best_ids is None or ids < best_ids:
+            best_ids, best = ids, new
+    return best_ids
+
+
+def _lightest_candidate(candidates, uncovered: int, weight) -> tuple[int, ...] | None:
+    """_best_candidate with a weight. Each combination's weights are summed
+    once per call, NaN when one of them is not positive and finite. A
+    candidate whose sums, added combination by combination, come to more
+    than a relative 1e-9 over the best score per new element is skipped
+    unweighed: a sum of positive finite weights in any order is within a
+    relative few 1e-15 of the ascending-order one, so its score is above
+    the best (or above zero, when the best is at most zero). NaN never
+    skips. The rest are weighed in ascending id order."""
+    best_ids, best = None, 0.0
+    sums: dict[tuple[int, ...], float] = {}
+    for parts, mask in candidates:
+        new = (mask & uncovered).bit_count()
+        if new == 0:
+            continue
+        if best_ids is not None:
+            rough = 0.0
+            for combo, _ in parts:
+                w = sums.get(combo)
+                if w is None:
+                    ws = [weight(i) for i in combo]
+                    w = sums[combo] = (
+                        sum(ws) if all(0.0 < x < math.inf for x in ws) else math.nan
+                    )
+                rough += w
+            if rough / new > best * (1 + 1e-9):
+                continue
+        ids = _ids(parts)
+        score = sum(map(weight, ids)) / new
         if score < best or best_ids is None or (score == best and ids < best_ids):
             best_ids, best = ids, score
     return best_ids
@@ -143,16 +178,12 @@ def naive_fsc(system: SetSystem, spec: FairnessSpec) -> Cover:
     return _pad_to_quotas(system, spec, greedy_set_cover(system))
 
 
-def _quota_tuples(
-    masks: Sequence[int], pools: Sequence[Sequence[int]], counts: Sequence[int]
-):
-    """Every way to take counts[h] ids from pools[h] for each color h, as
-    (parts, OR of their masks): parts holds one (combination, its mask) per
-    color with a positive count, and _ids(parts) gives the ascending ids.
-    Callers score the mask first and build ids only for contenders. Raises,
-    before yielding anything, InsufficientColor when a pool is short (see
-    check_pools) and BudgetExceeded when there are more than TUPLE_BUDGET
-    ways."""
+def _quota_tables(masks: Sequence[int], pools: Sequence[Sequence[int]], counts: Sequence[int]):
+    """For each color h with a positive count, every way to take counts[h]
+    ids from pools[h], as (combination, its mask) in combinations() order.
+    Raises, before building anything, InsufficientColor when a pool is short
+    (see check_pools) and BudgetExceeded when the tables' product holds more
+    than TUPLE_BUDGET tuples."""
     check_pools(pools, counts)
     total = 1
     for pool, c in zip(pools, counts):
@@ -161,14 +192,24 @@ def _quota_tuples(
         raise BudgetExceeded(
             f"{total} candidate tuples exceeds the budget of {TUPLE_BUDGET}"
         )
-    # Each color's combinations carry their union, so a tuple ORs one mask
-    # per color rather than one per set.
-    choices = [
+    return [
         [(combo, union_of(masks, combo)) for combo in combinations(pool, c)]
         for pool, c in zip(pools, counts)
         if c > 0
     ]
-    for parts in product(*choices):
+
+
+def _quota_tuples(
+    masks: Sequence[int], pools: Sequence[Sequence[int]], counts: Sequence[int]
+):
+    """Every way to take counts[h] ids from pools[h] for each color h, as
+    (parts, OR of their masks): parts holds one (combination, its mask) per
+    color with a positive count, from _quota_tables, and _ids(parts) gives
+    the ascending ids. Callers score the mask first and build ids only for
+    contenders. _quota_tables' errors are raised before the first tuple."""
+    # Each color's combinations carry their union, so a tuple ORs one mask
+    # per color rather than one per set.
+    for parts in product(*_quota_tables(masks, pools, counts)):
         mask = 0
         for _, m in parts:
             mask |= m

@@ -194,6 +194,25 @@ def fair_covers(system: SetSystem, per_round):
     return out
 
 
+def least_fair_multicover(system: SetSystem, per_round, requirements):
+    """The least (size, selection) over the selections holding t *
+    per_round[h] sets of every color h for one t >= 1 (and no set of a
+    color past per_round) that cover each element j at least
+    requirements[j] times; None when there is none."""
+    for size in range(system.num_sets + 1):
+        t, rest = divmod(size, sum(per_round))
+        if t < 1 or rest:
+            continue
+        for sel in combinations(range(system.num_sets), size):
+            counts = [sum(system.colors[i] == h for i in sel) for h in range(len(per_round))]
+            if counts == [t * p for p in per_round] and all(
+                sum(j in system.sets[i] for i in sel) >= need
+                for j, need in enumerate(requirements)
+            ):
+                return sel
+    return None
+
+
 def lightest_fair_cover(system: SetSystem, per_round):
     """The least (weight, size, selection) over fair_covers, the weight
     summed in ascending id order; None when there is no fair cover."""

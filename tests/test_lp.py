@@ -678,6 +678,7 @@ def test_retarget_sets_only_the_last_rhs():
     for name in ("objective", "A", "relations", "bounds"):
         assert getattr(moved, name) is getattr(first, name), name
     assert moved._masks is first._masks
+    assert moved._band is first._band
     assert moved.rhs[:-1].tobytes() == first.rhs[:-1].tobytes()
     assert (moved.rhs[-1], first.rhs[-1]) == (4.0, 1.0)
     assert not moved.rhs.flags.writeable
@@ -706,6 +707,22 @@ def test_retarget_twin_reads_like_a_built_problem():
         resid[rng.random(len(resid)) < 0.3] = 0.0
         for tol in (0.0, 1e-6):
             assert _violated(moved, resid, tol).tolist() == _violated(built, resid, tol).tolist()
+
+
+def test_violated_tests_each_row_against_its_relation():
+    # One interval test per row flags the rows a test relation by relation
+    # flags: "<=" past +tol, ">=" past -tol, "=" past either; a NaN
+    # residual breaks no relation.
+    rels = ["<=", ">=", "="] * 4
+    problem = LpProblem("min", [0.0], [[1.0]] * 12, rels, [0.0] * 12)
+    le, ge, eq = (np.array([r == x for r in rels]) for x in ("<=", ">=", "="))
+    values = [-1e-6, -1e-9, -0.0, 0.0, 1e-9, 1e-6, math.nan, math.inf, -math.inf]
+    rng = np.random.default_rng(1)
+    for _ in range(50):
+        resid = rng.choice(values, len(rels))
+        for tol in (0.0, 1e-9):
+            want = (eq & (np.abs(resid) > tol)) | (le & (resid > tol)) | (ge & (resid < -tol))
+            assert _violated(problem, resid, tol).tolist() == want.nonzero()[0].tolist()
 
 
 def count_cold_solves(monkeypatch):

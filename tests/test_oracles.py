@@ -95,10 +95,20 @@ def test_opt_fair_cover_weighted_can_prefer_more_sets():
     assert small.size == 2
 
 
-def test_unweighted_oracle_builds_ids_only_for_its_optimal_covers(monkeypatch):
-    # Selections are scored on their masks; the sorted ids are built once
-    # per fair cover at the final t (covers first appear there) and never
-    # for a selection that misses an element.
+def final_prefix(sys_, spec, sel):
+    """The ids of sel outside the color whose quota table is the largest
+    (the first such) at sel's round count: the prefix the oracles scan it
+    under."""
+    t = len(sel) // spec.p
+    sizes = [math.comb(len(g), t * p) for g, p in zip(sys_.sets_by_color, spec.per_round)]
+    last = sizes.index(max(sizes))
+    return tuple(i for i in sel if sys_.colors[i] != last)
+
+
+def test_unweighted_oracle_builds_ids_for_one_cover_per_prefix(monkeypatch):
+    # Selections are scored on their masks; the sorted ids are built only
+    # for optimal-size fair covers (covers first appear at the final t),
+    # at most one per prefix, and the cover returned is the least built.
     built = []
 
     def counting(parts):
@@ -112,25 +122,101 @@ def test_unweighted_oracle_builds_ids_only_for_its_optimal_covers(monkeypatch):
         sys_ = gen_synthetic(8 + seed % 3, 5 if k == 2 else 4, k,
                              coverage_dist=("uniform", 0.3), seed=seed)
         built.clear()
-        cover = opt_fair_cover(sys_, count_parity(k))
+        spec = count_parity(k)
+        cover = opt_fair_cover(sys_, spec)
         finals = [sel for sel in fair_covers(sys_, (1,) * k) if len(sel) == cover.size]
-        assert sorted(built) == finals, seed
+        assert built and set(built) <= set(finals), seed
+        prefixes = [final_prefix(sys_, spec, sel) for sel in built]
+        assert len(set(prefixes)) == len(prefixes), seed
+        assert cover.selected == min(built) == min(finals), seed
     built.clear()
     assert opt_fair_cover(SetSystem(2, [[0], [0]], [0, 1]), count_parity(2)) is None
     assert built == []
+
+
+def prefix_counts(sys_, spec, sizes):
+    """The number of prefixes the oracles scan over the round counts t in
+    sizes: the product of every color's quota table but the largest."""
+    out = 0
+    for t in sizes:
+        tables = [math.comb(len(g), t * p)
+                  for g, p in zip(sys_.sets_by_color, spec.per_round) if p > 0]
+        out += math.prod(tables) // max(tables)
+    return out
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_oracles_build_at_most_one_id_tuple_per_prefix(monkeypatch, weighted):
+    # The work as a number: on a fixed corpus of two- and three-color
+    # systems with U(1, 5) weights, each oracle builds at most one id tuple
+    # per prefix of the round counts it scans (50 unweighted and 15
+    # weighted over the corpus, where a scan of every selection built 106
+    # unweighted, one per optimal-size fair cover).
+    seen, built = [], []
+    real_tables, real_ids = oracles._quota_tables, unweighted._ids
+
+    def tables(masks, pools, counts):
+        seen.append(tuple(counts))
+        return real_tables(masks, pools, counts)
+
+    def ids(parts):
+        built.append(1)
+        return real_ids(parts)
+
+    monkeypatch.setattr(oracles, "_quota_tables", tables)
+    monkeypatch.setattr(oracles, "_ids", ids)
+    for seed in range(6):
+        k = 2 + seed % 2
+        sys_ = gen_synthetic(10 + seed, 7 if k == 2 else 4, k, ("uniform", 0.3),
+                             ("uniform", 1.0, 5.0), seed=seed)
+        spec = count_parity(k)
+        seen.clear()
+        built.clear()
+        assert opt_fair_cover(sys_, spec, weighted=weighted) is not None, seed
+        assert 0 < len(built) <= prefix_counts(sys_, spec, [c[0] for c in seen]), seed
+
+
+def test_oracle_budget_and_pool_errors_come_before_any_scoring(monkeypatch):
+    # The table builder refuses before building a table: no combination is
+    # unioned and no id tuple is built, and the messages are unchanged.
+    unioned = []
+    real_union = unweighted.union_of
+
+    def union(masks, ids):
+        unioned.append(ids)
+        return real_union(masks, ids)
+
+    monkeypatch.setattr(unweighted, "union_of", union)
+    monkeypatch.setattr(oracles, "_ids", lambda parts: pytest.fail("ids built"))
+    monkeypatch.setattr(unweighted, "TUPLE_BUDGET", 15)
+    sys_ = SetSystem(2, [[0], [1]] * 4, [0, 1] * 4)
+    inst = MulticoverInstance(sys_, [1, 1])
+    message = "16 candidate tuples exceeds the budget of 15"
+    for run in (lambda: opt_fair_cover(sys_, count_parity(2)),
+                lambda: opt_fair_cover(sys_, count_parity(2), weighted=True),
+                lambda: opt_fair_multicover(inst, count_parity(2)),
+                lambda: opt_mkcc(sys_, [0, 1], sys_.sets_by_color, (1, 1)),
+                lambda: opt_mkcc(sys_, [0, 1], sys_.sets_by_color, (1, 1), weighted_ratio=True)):
+        with pytest.raises(BudgetExceeded, match=f"^{message}$"):
+            run()
+    for ratio in (False, True):
+        with pytest.raises(InsufficientColor,
+                           match="^group 1 has 0 unpicked set\\(s\\) but 1 are needed$"):
+            opt_mkcc(sys_, [0, 1], [sys_.sets_by_color[0], []], (1, 1), weighted_ratio=ratio)
+    assert unioned == []
 
 
 def scanned_round_counts(monkeypatch, sys_, spec):
     """The per-color counts of every round count t the weighted oracle
     enumerates, and its cover."""
     seen = []
-    real = oracles._quota_tuples
+    real = oracles._quota_tables
 
     def counting(masks, pools, counts):
         seen.append(tuple(counts))
         return real(masks, pools, counts)
 
-    monkeypatch.setattr(oracles, "_quota_tuples", counting)
+    monkeypatch.setattr(oracles, "_quota_tables", counting)
     return seen, opt_fair_cover(sys_, spec, weighted=True)
 
 

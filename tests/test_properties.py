@@ -45,6 +45,8 @@ from support import (
     assert_sweeps_agree,
     brute_best_tuple,
     brute_quota_tuples,
+    fair_covers,
+    least_fair_multicover,
     lightest_fair_cover,
     lightest_tuple_weight,
     warm_and_cold_sweep,
@@ -251,15 +253,17 @@ def test_relaxations_bound_the_best_integral_round(case, data):
 # test that scores are summed in ascending id order and that the weighted
 # oracle's unsorted weight filter keeps its margin.
 ORDER_SENSITIVE_WEIGHTS = st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.0])
+# The same with zero and negative weights, which turn the weight filters
+# and the weighted oracle's round-count bound off.
+SIGNED_WEIGHTS = st.sampled_from([-1.0, -0.1, 0.0, 0.1, 0.2, 0.3, 1.0])
 
 
 @st.composite
-def order_sensitive_instances(draw, max_sets=16):
-    """instances() with every weight drawn from ORDER_SENSITIVE_WEIGHTS."""
+def order_sensitive_instances(draw, max_sets=16, weights=ORDER_SENSITIVE_WEIGHTS):
+    """instances() with every weight drawn from weights."""
     system, spec, seed = draw(instances(max_sets))
-    weights = draw(st.lists(ORDER_SENSITIVE_WEIGHTS, min_size=system.num_sets,
-                            max_size=system.num_sets))
-    return SetSystem(system.n, system.sets, system.colors, weights), spec, seed
+    ws = draw(st.lists(weights, min_size=system.num_sets, max_size=system.num_sets))
+    return SetSystem(system.n, system.sets, system.colors, ws), spec, seed
 
 
 # Each of the four fair covers weighs 0.3 + 0.2 + 0.1 = 0.6 in id order,
@@ -268,11 +272,18 @@ def order_sensitive_instances(draw, max_sets=16):
 # or one that skips ties, returns (0, 3, 5).
 NEAR_TIE = SetSystem(2, [[], [0], [], [0], [1], [1]], [2, 1, 2, 0, 0, 1],
                      [0.3, 0.2, 0.3, 0.2, 0.1, 0.1])
+# (0, 4, 6) and (1, 3, 6) both weigh 0.1 + 0.7 + 0.3 = 1.0999999999999999
+# in id order, but 1.1 summed prefix first (0.7 + 0.3, then color 0's
+# 0.1); (1, 3, 6) is found first, so a weight cut without its margin
+# returns it.
+NEAR_TIE_SPLIT = SetSystem(1, [[], [], [], [0], [0], [], []], [0, 1, 2, 0, 1, 0, 2],
+                           [0.1, 0.7, 0.3, 0.1, 0.7, 1.0, 0.3])
 
 
 @settings(max_examples=150, deadline=None)
 @given(order_sensitive_instances(max_sets=10))
 @example((NEAR_TIE, count_parity(3), 0))
+@example((NEAR_TIE_SPLIT, count_parity(3), 0))
 def test_weighted_oracle_matches_the_itertools_reference(case):
     # The least (weight in ascending id order, size, selection) over every
     # fair cover, to the bit.
@@ -284,6 +295,37 @@ def test_weighted_oracle_matches_the_itertools_reference(case):
     else:
         assert cover is not None and cover.selected == best[2]
         assert sum(system.weight(i) for i in cover.selected) == best[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(order_sensitive_instances(max_sets=10, weights=SIGNED_WEIGHTS))
+def test_weighted_oracle_matches_the_reference_on_signed_weights(case):
+    system, spec, _ = case
+    best = lightest_fair_cover(system, spec.per_round)
+    cover = opt_fair_cover(system, spec, weighted=True)
+    assert (None if cover is None else cover.selected) == (None if best is None else best[2])
+
+
+@settings(max_examples=150, deadline=None)
+@given(order_sensitive_instances(max_sets=10))
+def test_unweighted_oracle_matches_the_itertools_reference(case):
+    # The least size, then the least selection, over every fair cover; the
+    # instances have up to three colors and may give a color share zero or
+    # leave it unnamed.
+    system, spec, _ = case
+    want = min(fair_covers(system, spec.per_round), key=lambda sel: (len(sel), sel),
+               default=None)
+    cover = opt_fair_cover(system, spec)
+    assert (None if cover is None else cover.selected) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(instances(max_sets=10), st.data())
+def test_multicover_oracle_matches_the_itertools_reference(case, data):
+    system, spec, _ = case
+    reqs = data.draw(st.lists(st.integers(1, 3), min_size=system.n, max_size=system.n))
+    cover = opt_fair_multicover(MulticoverInstance(system, reqs), spec)
+    assert (None if cover is None else cover.selected) == least_fair_multicover(system, spec.per_round, reqs)
 
 
 def assert_best_candidate_matches_reference(system, targets, remaining, per_round):
@@ -309,11 +351,26 @@ def test_best_candidate_matches_the_itertools_reference(case, data):
         assert_best_candidate_matches_reference(system, *state, spec.per_round)
 
 
+@settings(max_examples=100, deadline=None)
+@given(order_sensitive_instances(weights=SIGNED_WEIGHTS), st.data())
+def test_best_candidate_matches_the_reference_on_signed_weights(case, data):
+    system, spec, _ = case
+    state = _round_state(system, spec.per_round, data)
+    if state is not None:
+        assert_best_candidate_matches_reference(system, *state, spec.per_round)
+
+
 @pytest.mark.parametrize("system", [
     # (2, 6, 7) scores 0.6 / 3, a hair under (1, 2, 7)'s 0.4 / 2; summed
     # color by color, 0.1 + 0.3 + 0.2, it would score a hair over.
     SetSystem(3, [[2], [0, 1], [], [1], [1, 2], [], [2], [0, 1]], [0, 1, 2, 1, 0, 0, 1, 0],
               [0.3, 0.1, 0.2, 0.2, 1.0, 1.0, 0.3, 0.1]),
+    # (1, 2, 5) scores (-1.0 - 0.1 + 0.3) / 2 = -0.4 in id order, under
+    # (0, 1, 2)'s -0.39999999999999997, but no better summed color by
+    # color (0.3 - 1.0 - 0.1); a weight filter left on for negative
+    # weights skips it.
+    SetSystem(2, [[], [1], [0, 1], [0, 1], [0, 1], [1]], [0, 1, 2, 1, 1, 0],
+              [0.3, -1.0, -0.1, 0.0, 0.0, 0.3]),
     # Skipping coverage ties takes (2, 7), enumerated first, not (1, 5).
     SetSystem(4, [[], [], [1, 2, 3], [], [], [0, 1, 2, 3], [0, 1, 2], [0, 2, 3], [3], [3], []],
               [0, 1, 0, 1, 1, 0, 0, 1, 0, 0, 1],
