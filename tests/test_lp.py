@@ -678,7 +678,6 @@ def test_retarget_sets_only_the_last_rhs():
     for name in ("objective", "A", "relations", "bounds"):
         assert getattr(moved, name) is getattr(first, name), name
     assert moved._masks is first._masks
-    assert moved._band is first._band
     assert moved.rhs[:-1].tobytes() == first.rhs[:-1].tobytes()
     assert (moved.rhs[-1], first.rhs[-1]) == (4.0, 1.0)
     assert not moved.rhs.flags.writeable
@@ -712,9 +711,11 @@ def test_retarget_twin_reads_like_a_built_problem():
 def test_violated_tests_each_row_against_its_relation():
     # One interval test per row flags the rows a test relation by relation
     # flags: "<=" past +tol, ">=" past -tol, "=" past either; a NaN
-    # residual breaks no relation.
+    # residual breaks no relation. A re-targeted problem shares the rows'
+    # intervals.
     rels = ["<=", ">=", "="] * 4
     problem = LpProblem("min", [0.0], [[1.0]] * 12, rels, [0.0] * 12)
+    assert problem.retarget(1.0)._band is problem._band
     le, ge, eq = (np.array([r == x for r in rels]) for x in ("<=", ">=", "="))
     values = [-1e-6, -1e-9, -0.0, 0.0, 1e-9, 1e-6, math.nan, math.inf, -math.inf]
     rng = np.random.default_rng(1)

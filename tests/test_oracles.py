@@ -105,7 +105,7 @@ def final_prefix(sys_, spec, sel):
     return tuple(i for i in sel if sys_.colors[i] != last)
 
 
-def test_unweighted_oracle_builds_ids_for_one_cover_per_prefix(monkeypatch):
+def test_unweighted_oracle_builds_ids_only_for_its_optimal_covers(monkeypatch):
     # Selections are scored on their masks; the sorted ids are built only
     # for optimal-size fair covers (covers first appear at the final t),
     # at most one per prefix, and the cover returned is the least built.

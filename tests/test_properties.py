@@ -325,7 +325,8 @@ def test_multicover_oracle_matches_the_itertools_reference(case, data):
     system, spec, _ = case
     reqs = data.draw(st.lists(st.integers(1, 3), min_size=system.n, max_size=system.n))
     cover = opt_fair_multicover(MulticoverInstance(system, reqs), spec)
-    assert (None if cover is None else cover.selected) == least_fair_multicover(system, spec.per_round, reqs)
+    want = least_fair_multicover(system, spec.per_round, reqs)
+    assert (None if cover is None else cover.selected) == want
 
 
 def assert_best_candidate_matches_reference(system, targets, remaining, per_round):
