@@ -97,7 +97,7 @@ def _load_json(path: Path) -> SetSystem:
         for value in [payload["n"], *(e for s in payload["sets"] for e in s), *payload["colors"]]:
             if not _is_int(value):
                 raise ParseError(f"{value!r} is not an integer (n, element ids, colors)")
-        return SetSystem(
+        system = SetSystem(
             n=payload["n"],
             sets=payload["sets"],
             colors=payload["colors"],
@@ -105,6 +105,15 @@ def _load_json(path: Path) -> SetSystem:
         )
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed instance: {exc}") from exc
+    # Validation rejects either file below anyway (a color owning no set, an
+    # element in no set), but only after sizing a table by the largest
+    # color id or a mask by n.
+    if system.num_colors > system.num_sets:
+        raise ParseError(f"color {system.num_colors - 1} is not below the {system.num_sets} sets")
+    listed = len({e for s in system.sets for e in s})
+    if system.n > listed:
+        raise ParseError(f"n = {system.n} exceeds the {listed} element ids the sets list")
+    return system
 
 
 def _save_csv(system: SetSystem, path: Path) -> None:

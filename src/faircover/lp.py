@@ -27,7 +27,7 @@ two loops (a warm resume runs them on a kept tableau instead), and _read,
 which every path shares, turns an optimal tableau into a checked
 LpSolution. LpProblem.retarget(target) gives the
 problem with its last row's rhs set to target; every problem re-targeted
-from one relaxation shares its validated arrays and relation masks, so a
+from one relaxation shares its validated arrays and row intervals, so a
 family is validated once, when its first problem is built, and each
 re-target copies only the rhs. The family also shares a record of the
 last target solved to optimality and its final tableau, and solve()
@@ -83,7 +83,6 @@ class LpProblem:
     """
 
     _family: list | None  # [last target, tableau], see retarget()
-    _masks: tuple[np.ndarray, ...]  # the "<=", ">=" and "=" rows, as bool arrays
     _band: tuple[np.ndarray, np.ndarray]  # each row's (lo, hi) for A x - rhs, see _violated
 
     sense: str
@@ -143,9 +142,8 @@ class LpProblem:
             raise ValueError(f"variable {j}: empty bound interval [{lo[j]}, {hi[j]}]")
         # Every relation was checked above, so two characters hold each one.
         rel = np.array(rels, dtype="<U2")
-        masks = tuple(rel == r for r in _RELATIONS)
-        band = (np.where(masks[0], -math.inf, 0.0), np.where(masks[1], math.inf, 0.0))
-        for a in (obj, A, b, bnds, *masks, *band):
+        band = (np.where(rel == "<=", -math.inf, 0.0), np.where(rel == ">=", math.inf, 0.0))
+        for a in (obj, A, b, bnds, *band):
             a.flags.writeable = False
         self.sense = sense
         self.objective = obj
@@ -153,7 +151,6 @@ class LpProblem:
         self.relations = rels
         self.rhs = b
         self.bounds = bnds
-        self._masks = masks
         self._band = band
         self._family = None
 
@@ -179,7 +176,7 @@ class LpProblem:
         vars(twin).update(
             sense=self.sense, objective=self.objective, A=self.A,
             relations=self.relations, rhs=rhs, bounds=self.bounds,
-            _masks=self._masks, _band=self._band, _family=self._family,
+            _band=self._band, _family=self._family,
         )
         return twin
 
@@ -401,7 +398,7 @@ def _optimize(problem: LpProblem) -> tuple[str, _Tableau]:
     ncols = nvar + m
     lo, hi = problem.bounds[:, 0], problem.bounds[:, 1]
     c = problem.objective if problem.sense == "min" else -problem.objective
-    le, ge, _ = problem._masks
+    band_lo, band_hi = problem._band
     cost = np.concatenate((c, np.zeros(m)))
     span = hi - lo
     at_hi = (c < 0) & np.isfinite(span)
@@ -409,8 +406,9 @@ def _optimize(problem: LpProblem) -> tuple[str, _Tableau]:
         T=np.empty((m, ncols + 1)),
         basis=nvar + np.arange(m),
         dirs=np.zeros(ncols),
-        lo=np.concatenate((np.zeros(nvar), np.where(ge, -math.inf, 0.0))),
-        hi=np.concatenate((span, np.where(le, math.inf, 0.0))),
+        # A slack's bounds are its row's interval for A x - rhs, negated.
+        lo=np.concatenate((np.zeros(nvar), 0.0 - band_hi)),
+        hi=np.concatenate((span, 0.0 - band_lo)),
         cost=cost,
         budget=50 * (ncols + m),
     )

@@ -46,12 +46,14 @@ def union_of(masks: Sequence[int], ids: Iterable[int]) -> int:
 
 def elements_of(mask: int) -> list[int]:
     """The elements whose bits are set in mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+    # One pass over the binary digits, lowest first: clearing one bit at a
+    # time would copy the whole int once per element.
+    return [e for e, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+
+
+def _positive_weight(w: float) -> bool:
+    """The one test of a usable weight: positive and finite (NaN is not)."""
+    return 0.0 < w < math.inf
 
 
 @dataclass(frozen=True)
@@ -185,7 +187,8 @@ def validate_instance(system: SetSystem) -> ValidationOutcome:
     """Check the semantic invariants a solvable instance must satisfy.
 
     Reported violations: elements covered by no set, sets referencing
-    elements outside [0, n), non-positive weights, and colors in
+    elements outside [0, n), weights that are not positive and finite
+    (_positive_weight), and colors in
     [0, num_colors) that own no set. Never raises.
     """
     everything = (1 << system.n) - 1
@@ -196,9 +199,7 @@ def validate_instance(system: SetSystem) -> ValidationOutcome:
     )
     bad_weights = ()
     if system.weights is not None:
-        bad_weights = tuple(
-            i for i, w in enumerate(system.weights) if not (w > 0.0) or math.isinf(w)
-        )
+        bad_weights = tuple(i for i, w in enumerate(system.weights) if not _positive_weight(w))
     present = set(system.colors)
     empty = tuple(c for c in range(system.num_colors) if c not in present)
     return ValidationOutcome(

@@ -153,7 +153,7 @@ def fair_multicover_greedy(
 
     # Every requirement is at least one, so every element starts alive.
     stuck = NoProgress("no quota tuple touches an alive element")
-    cover = _run_rounds(system, spec.per_round, pick, stuck, commit)
+    cover = _run_rounds(system, pick, stuck, commit)
     return cover, PriceLedger(tuple(entries), tuple(alive_history))
 
 

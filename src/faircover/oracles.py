@@ -2,10 +2,13 @@
 
 Each oracle returns the lexicographically smallest optimum, so repeated
 runs agree bit for bit. Sets are scored through their int bitmasks
-(SetSystem.masks). At each round count t the quota oracles take every
-color's (combination, mask) table from the algorithms' builder
-(_quota_tables), so one TUPLE_BUDGET over the tables' whole product bounds
-them and the exhaustive rounds, and a refusal comes before any scoring.
+(SetSystem.masks). The quota oracles share the exhaustive rounds' rules in
+unweighted: at each round count t they take every color's (combination,
+mask) table from _quota_tables, so one pool check and one TUPLE_BUDGET over
+the tables' whole product bound them and the rounds, and a refusal comes
+before any scoring; _tuples_of is the one loop over a product of tables;
+the weighted scans skip by the one margin, _SKIP_MARGIN, and only when
+every weight passes model._positive_weight.
 
 The largest table at t, of C combinations, holds the completions; the
 product of the other tables, P selections, holds the prefixes. Work per t:
@@ -14,11 +17,11 @@ product of the other tables, P selections, holds the prefixes. Work per t:
   Colors own disjoint ids, so a prefix's first full completion in
   combinations() order has the least ids of its covers; the scan of that
   prefix stops there.
-- opt_fair_cover(weighted=True), with positive finite weights and two or
-  more colors of positive share: one sort of the C completions by weight,
-  then each prefix scans them lightest first and stops once prefix plus
-  completion weight passes the best cover's by a relative 1e-9. At most
-  P * C mask tests; only full covers within that margin are weighed, in
+- opt_fair_cover(weighted=True), with positive weights and two or more
+  colors of positive share: one sort of the C completions by weight, then
+  each prefix scans them lightest first and stops once prefix plus
+  completion weight passes the best cover's by the margin. At most P * C
+  mask tests; only full covers within the margin are weighed, in
   ascending id order. With one such color, the C completions are scanned
   in combinations() order and full ones past the margin are dropped
   unweighed; with other weights, every full cover is weighed.
@@ -26,17 +29,21 @@ product of the other tables, P selections, holds the prefixes. Work per t:
   completion to coverage levels computed once per prefix, and one id
   tuple per prefix: its first completion meeting every demand.
 - opt_mkcc scores all P * C tuples of its round through _best_candidate.
+
+opt_set_cover keeps its own scan by selection size, which stops at the
+first cover.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import accumulate, combinations, product
+from itertools import accumulate, combinations
 from typing import Sequence
 
-from .errors import AllTuplesZeroCoverage, BudgetExceeded
-from .model import Cover, FairnessSpec, SetSystem, mask_of, union_of
-from .unweighted import _best_candidate, _ids, _quota_tables, _quota_tuples
+from .errors import AllTuplesZeroCoverage, BudgetExceeded, NoProgress
+from .model import Cover, FairnessSpec, SetSystem, _positive_weight, mask_of, union_of
+from .unweighted import (_SKIP_MARGIN, _best_candidate, _ids, _quota_tables, _quota_tuples,
+                         _tuples_of)
 
 MAX_SETS_EXACT = 22
 MAX_SETS_EXACT_MULTI = 20
@@ -44,7 +51,9 @@ MAX_SETS_EXACT_MULTI = 20
 
 def opt_set_cover(system: SetSystem) -> Cover:
     """Smallest cover, quotas ignored; ties go to the lexicographically
-    smallest selection. Refuses systems with more than MAX_SETS_EXACT sets."""
+    smallest selection. Refuses systems with more than MAX_SETS_EXACT sets,
+    and raises NoProgress, as greedy_set_cover does, when some element is
+    in no set."""
     mu = system.num_sets
     if mu > MAX_SETS_EXACT:
         raise BudgetExceeded(f"{mu} sets exceeds exact budget {MAX_SETS_EXACT}")
@@ -57,7 +66,7 @@ def opt_set_cover(system: SetSystem) -> Cover:
                 acc |= masks[i]
             if acc == full:
                 return Cover.from_selection(system, combo)
-    raise BudgetExceeded("universe is not coverable; validate the instance first")
+    raise NoProgress("uncovered elements remain but no set touches them")
 
 
 def _fair_sizes(system: SetSystem, spec: FairnessSpec) -> range:
@@ -81,9 +90,9 @@ def opt_fair_cover(
     spec.p sets, so the scan walks t = 1, 2, ... rounds and stops at the
     first t admitting a cover). Weighted: minimum total weight over all
     feasible t, since more but lighter sets can beat a small cover. When
-    every weight is positive and finite, the scan stops at the first t
-    whose lower bound (the t * p_h lightest sets of each color h) exceeds
-    the best weight by more than a relative 1e-9; that margin keeps the
+    every weight is positive (model._positive_weight), the scan stops at
+    the first t whose lower bound (the t * p_h lightest sets of each color
+    h) passes the best weight by more than _SKIP_MARGIN, which keeps the
     (weight, size, selection) tie-break intact under any summation order.
     Each t is scanned as _least_cover or _lightest_cover says.
     """
@@ -93,12 +102,12 @@ def opt_fair_cover(
     full = (1 << system.n) - 1
     best: tuple | None = None  # (weight, size, selection) for weighted mode
     # lightest[h][c]: the weight of the c lightest sets of color h. The
-    # bound grows with t only when every weight is positive (NaN fails
-    # the test too), so other weights scan every t.
+    # bound grows with t only when every weight is positive, so other
+    # weights scan every t.
     lightest = None
     if weighted:
         weights = [system.weight(i) for i in range(mu)]
-        if all(0.0 < w < math.inf for w in weights):
+        if all(map(_positive_weight, weights)):
             lightest = [
                 list(accumulate(sorted(weights[i] for i in g), initial=0.0))
                 for g in system.sets_by_color
@@ -107,7 +116,7 @@ def opt_fair_cover(
     for t in _fair_sizes(system, spec):
         if lightest is not None and best is not None:
             bound = sum(lightest[h][t * p] for h, p in enumerate(spec.per_round) if p > 0)
-            if bound > best[0] * (1 + 1e-9):
+            if bound > best[0] * _SKIP_MARGIN:
                 break
         prefix_tables, completions = _split(system, [t * p for p in spec.per_round])
         if not weighted:
@@ -134,16 +143,6 @@ def _split(system: SetSystem, counts: Sequence[int]):
     return tables[:j] + tables[j + 1:], tables[j]
 
 
-def _prefixes(tables):
-    """Every choice of one (combination, mask) per table, as (parts, the
-    OR of their masks)."""
-    for parts in product(*tables):
-        mask = 0
-        for _, m in parts:
-            mask |= m
-        yield parts, mask
-
-
 def _reach(completions) -> int:
     """The elements some completion covers."""
     out = 0
@@ -162,7 +161,7 @@ def _least_cover(prefix_tables, completions, full: int) -> tuple[int, ...] | Non
     alone are built: at most one id tuple per prefix."""
     reach = _reach(completions)
     found = None
-    for prefix, pm in _prefixes(prefix_tables):
+    for prefix, pm in _tuples_of(prefix_tables):
         if pm | reach != full:
             continue
         for part in completions:
@@ -178,25 +177,23 @@ def _lightest_cover(prefix_tables, completions, full: int, weight, best, positiv
     """best, or a smaller (weight, size, ids) key of a full cover made of
     one prefix and one completion, its weight summed in ascending id order.
 
-    With positive finite weights, a cover whose weight summed part by part
-    passes best's by more than a relative 1e-9 is dropped unweighed (a sum
-    of positive weights in any order is within a relative few 1e-15 of the
-    ascending one). Given prefix tables, each combination's weight is
-    summed once, the completions are sorted by weight, and each prefix
-    scans them lightest first and stops at the first one dropped; best
-    includes the prefix's first full completion once it is weighed. With a
-    single prefix, the completions are scanned in combinations() order and
-    a full one is dropped on its own weight. Other weights weigh every full
-    cover. Every cover kept is weighed, so ties break as in a scan of
-    every selection."""
+    With positive weights, a cover whose weight summed part by part passes
+    best's by more than _SKIP_MARGIN is dropped unweighed. Given prefix
+    tables, each combination's weight is summed once, the completions are
+    sorted by weight, and each prefix scans them lightest first and stops
+    at the first one dropped; best includes the prefix's first full
+    completion once it is weighed. With a single prefix, the completions
+    are scanned in combinations() order and a full one is dropped on its
+    own weight. Other weights weigh every full cover. Every cover kept is
+    weighed, so ties break as in a scan of every selection."""
     ordered = positive and bool(prefix_tables)
     sums = {}
     if ordered:
         sums = {c: sum(map(weight, c)) for table in (*prefix_tables, completions) for c, _ in table}
         completions = sorted(completions, key=lambda part: sums[part[0]])
     reach = _reach(completions)
-    cut = best[0] * (1 + 1e-9) if positive and best is not None else math.inf
-    for prefix, pm in _prefixes(prefix_tables):
+    cut = best[0] * _SKIP_MARGIN if positive and best is not None else math.inf
+    for prefix, pm in _tuples_of(prefix_tables):
         if pm | reach != full:
             continue
         wp = sum([sums[c] for c, _ in prefix]) if ordered else 0.0
@@ -212,7 +209,7 @@ def _lightest_cover(prefix_tables, completions, full: int, weight, best, positiv
             if best is None or key < best:
                 best = key
                 if positive:
-                    cut = key[0] * (1 + 1e-9)
+                    cut = key[0] * _SKIP_MARGIN
     return best
 
 
@@ -262,7 +259,7 @@ def opt_fair_multicover(instance, spec: FairnessSpec) -> Cover | None:
         found: tuple[int, ...] | None = None
         # As in _least_cover, each prefix's first completion meeting every
         # demand has the least ids of its selections that do.
-        for prefix, _ in _prefixes(prefix_tables):
+        for prefix, _ in _tuples_of(prefix_tables):
             base = _levels(masks, [i for combo, _ in prefix for i in combo], [0] * len(wants))
             for part in completions:
                 got = _levels(masks, part[0], base)

@@ -22,13 +22,21 @@ import numpy as np
 
 from .errors import BudgetExceeded, NoProgress, NumericalFailure
 from .lp import LpSolver, build_mkcc_lp, round_laws, solve
-from .model import Cover, FairnessSpec, SetSystem, check_pools, elements_of, quota_counts, union_of
+from .model import (Cover, FairnessSpec, SetSystem, _positive_weight, check_pools, elements_of,
+                    quota_counts, union_of)
 
 # Refuse any quota-tuple enumeration (exhaustive rounds and the oracles)
 # with more candidate tuples than this.
 TUPLE_BUDGET = 10_000_000
 # One LP sample may be redrawn this many times before falling back to greedy.
 ZERO_PROGRESS_RESAMPLES = 16
+# The skip margin of every weight scan (the weight-per-element rounds and
+# the weighted oracle): a candidate whose weight, summed in another order
+# than ascending ids, passes the best by more than this relative margin is
+# dropped unweighed. A sum of positive finite weights in any order is within
+# a relative few 1e-15 of the ascending-order one, so a dropped candidate
+# weighs more than the best, and ties break as in a scan weighing them all.
+_SKIP_MARGIN = 1 + 1e-9
 
 
 def as_rng(rng: np.random.Generator | int | None) -> np.random.Generator:
@@ -68,14 +76,14 @@ class GreedyState:
         return Cover.from_rounds(system, self.rounds)
 
 
-def _run_rounds(system: SetSystem, per_round: Sequence[int], pick, stuck, commit=None) -> Cover:
-    """The loop of every greedy cover: while state.uncovered is non-empty, check
-    each color can fill per_round, take ids = pick(state), raise stuck if they
-    are None or cover nothing new, else commit them (GreedyState.commit, or the
-    commit(state, system, ids) rule given)."""
+def _run_rounds(system: SetSystem, pick, stuck, commit=None) -> Cover:
+    """The loop of every greedy cover: while state.uncovered is non-empty,
+    take ids = pick(state), raise stuck if they are None or cover nothing
+    new, else commit them (GreedyState.commit, or the commit(state, system,
+    ids) rule given). Each quota picker checks its pools (check_pools)
+    before any other work."""
     state = GreedyState.fresh(system)
     while state.uncovered:
-        check_pools(state.remaining, per_round)
         ids = pick(state)
         if ids is None or state.new_coverage(system, ids) == 0:
             raise stuck
@@ -105,13 +113,11 @@ def _best_candidate(candidates, uncovered: int, weight=None) -> tuple[int, ...] 
 
 def _lightest_candidate(candidates, uncovered: int, weight) -> tuple[int, ...] | None:
     """_best_candidate with a weight. Each combination's weights are summed
-    once per call, NaN when one of them is not positive and finite. A
+    once per call, NaN unless each is positive (model._positive_weight). A
     candidate whose sums, added combination by combination, come to more
-    than a relative 1e-9 over the best score per new element is skipped
-    unweighed: a sum of positive finite weights in any order is within a
-    relative few 1e-15 of the ascending-order one, so its score is above
-    the best (or above zero, when the best is at most zero). NaN never
-    skips. The rest are weighed in ascending id order."""
+    than _SKIP_MARGIN times the best score per new element is skipped
+    unweighed (when the best is at most zero, so is every candidate past
+    it); NaN never skips. The rest are weighed in ascending id order."""
     best_ids, best = None, 0.0
     sums: dict[tuple[int, ...], float] = {}
     for parts, mask in candidates:
@@ -124,11 +130,9 @@ def _lightest_candidate(candidates, uncovered: int, weight) -> tuple[int, ...] |
                 w = sums.get(combo)
                 if w is None:
                     ws = [weight(i) for i in combo]
-                    w = sums[combo] = (
-                        sum(ws) if all(0.0 < x < math.inf for x in ws) else math.nan
-                    )
+                    w = sums[combo] = sum(ws) if all(map(_positive_weight, ws)) else math.nan
                 rough += w
-            if rough / new > best * (1 + 1e-9):
+            if rough / new > best * _SKIP_MARGIN:
                 continue
         ids = _ids(parts)
         score = sum(map(weight, ids)) / new
@@ -143,7 +147,7 @@ def greedy_set_cover(system: SetSystem) -> Cover:
     optimum size but can be arbitrarily lopsided across groups."""
     sets = _singletons(system)
     stuck = NoProgress("uncovered elements remain but no set touches them")
-    return _run_rounds(system, (), lambda state: _best_candidate(sets, state.uncovered), stuck)
+    return _run_rounds(system, lambda state: _best_candidate(sets, state.uncovered), stuck)
 
 
 def _pad_to_quotas(system: SetSystem, spec: FairnessSpec, base: Cover, key=None) -> Cover:
@@ -203,13 +207,19 @@ def _quota_tuples(
     masks: Sequence[int], pools: Sequence[Sequence[int]], counts: Sequence[int]
 ):
     """Every way to take counts[h] ids from pools[h] for each color h, as
-    (parts, OR of their masks): parts holds one (combination, its mask) per
-    color with a positive count, from _quota_tables, and _ids(parts) gives
-    the ascending ids. Callers score the mask first and build ids only for
+    _tuples_of gives them over _quota_tables: parts holds one (combination,
+    its mask) per color with a positive count, and _ids(parts) gives the
+    ascending ids. Callers score the mask first and build ids only for
     contenders. _quota_tables' errors are raised before the first tuple."""
+    yield from _tuples_of(_quota_tables(masks, pools, counts))
+
+
+def _tuples_of(tables):
+    """Every choice of one (combination, mask) per table, as (parts, the OR
+    of their masks), in product() order."""
     # Each color's combinations carry their union, so a tuple ORs one mask
     # per color rather than one per set.
-    for parts in product(*_quota_tables(masks, pools, counts)):
+    for parts in product(*tables):
         mask = 0
         for _, m in parts:
             mask |= m
@@ -245,8 +255,7 @@ def greedy_allpick(system: SetSystem, spec: FairnessSpec) -> Cover:
     (ln n + 1) times the smallest quota-respecting cover.
     """
     return _run_rounds(
-        system, spec.per_round,
-        lambda state: best_coverage_tuple(system, state, spec.per_round),
+        system, lambda state: best_coverage_tuple(system, state, spec.per_round),
         NoProgress("no quota tuple covers a new element"),
     )
 
@@ -385,4 +394,4 @@ def eff_fsc(
         return _sampled_round(system, state, spec.per_round, rng, lp_solver)
 
     stuck = NoProgress("round subroutine could not cover a new element")
-    return _run_rounds(system, spec.per_round, pick, stuck)
+    return _run_rounds(system, pick, stuck)

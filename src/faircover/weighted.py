@@ -80,7 +80,7 @@ def naive_wfsc(system: SetSystem, spec: FairnessSpec) -> Cover:
     sets = _singletons(system)
     stuck = AllTuplesZeroCoverage("uncovered elements remain but no set touches them")
     cover = _run_rounds(
-        system, (), lambda state: _best_candidate(sets, state.uncovered, system.weight), stuck
+        system, lambda state: _best_candidate(sets, state.uncovered, system.weight), stuck
     )
     return _pad_to_quotas(system, spec, cover, key=lambda i: (system.weight(i), i))
 
@@ -98,7 +98,7 @@ def greedy_weighted_allpick(system: SetSystem, spec: FairnessSpec) -> Cover:
         return _best_candidate(tuples, state.uncovered, system.weight)
 
     stuck = AllTuplesZeroCoverage("every quota tuple covers zero new elements")
-    return _run_rounds(system, spec.per_round, pick, stuck)
+    return _run_rounds(system, pick, stuck)
 
 
 def weighted_mkcc_round(
@@ -171,7 +171,7 @@ def eff_wfsc(
     optimal quota-respecting weight."""
     rng = as_rng(rng)
     return _run_rounds(
-        system, spec.per_round,
+        system,
         lambda state: weighted_mkcc_round(system, state, spec.per_round, rng, lp_solver).ids,
         NoProgress("the sweep winner covers no new element"),
     )

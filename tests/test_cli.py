@@ -195,6 +195,18 @@ def test_broken_instance_file_exits_2(capsys, tmp_path):
     assert "input error" in err
 
 
+@pytest.mark.parametrize("payload", [
+    '{"n": 1, "sets": [[0]], "colors": [1000000000]}',
+    '{"n": 1000000000, "sets": [[0]], "colors": [0]}',
+])
+def test_instance_with_an_unusable_color_or_n_exits_2(capsys, tmp_path, payload):
+    path = tmp_path / "huge.json"
+    path.write_text(payload)
+    code, out, err = run(capsys, "solve", "--algo", "sc", "--instance", str(path))
+    assert code == 2 and out == ""
+    assert "input error" in err
+
+
 def test_both_sources_exit_2(capsys, inst_path):
     code, _, _ = run(
         capsys, "solve", "--algo", "sc", "--instance", str(inst_path),

@@ -677,7 +677,7 @@ def test_retarget_sets_only_the_last_rhs():
     assert moved.sense == first.sense
     for name in ("objective", "A", "relations", "bounds"):
         assert getattr(moved, name) is getattr(first, name), name
-    assert moved._masks is first._masks
+    assert moved._band is first._band
     assert moved.rhs[:-1].tobytes() == first.rhs[:-1].tobytes()
     assert (moved.rhs[-1], first.rhs[-1]) == (4.0, 1.0)
     assert not moved.rhs.flags.writeable
@@ -699,7 +699,7 @@ def test_retarget_twin_reads_like_a_built_problem():
     assert moved.constraints[-1][2] == 4.0 and first.constraints[-1][2] == 1.0
     built = LpProblem(first.sense, first.objective, first.A, first.relations,
                       moved.rhs, first.bounds)
-    assert [m.tolist() for m in moved._masks] == [m.tolist() for m in built._masks]
+    assert [b.tolist() for b in moved._band] == [b.tolist() for b in built._band]
     rng = np.random.default_rng(0)
     for _ in range(20):
         resid = rng.normal(scale=1e-6, size=len(moved.rhs))

@@ -66,6 +66,12 @@ def test_masks_ignore_ids_outside_the_universe():
     assert elements_of(0) == []
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=(1 << 300) - 1))
+def test_elements_of_lists_the_set_bits_by_definition(mask):
+    assert elements_of(mask) == [e for e in range(mask.bit_length()) if mask >> e & 1]
+
+
 # -------------------------------------------------------------- validation
 
 

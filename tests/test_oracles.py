@@ -5,7 +5,7 @@ import math
 import pytest
 
 from faircover import oracles, unweighted
-from faircover.errors import BudgetExceeded, InsufficientColor
+from faircover.errors import BudgetExceeded, InsufficientColor, NoProgress
 from faircover.io_generators import gen_synthetic
 from faircover.model import FairnessSpec, SetSystem, count_parity
 from faircover.multicover import MulticoverInstance
@@ -52,6 +52,16 @@ def test_opt_set_cover_budget_wall():
     sys_ = SetSystem(1, [[0]] * 23, [0] * 23)
     with pytest.raises(BudgetExceeded):
         opt_set_cover(sys_)
+
+
+def test_opt_set_cover_reports_an_uncoverable_universe_as_greedy_does():
+    # The scan has finished, so this is no refused enumeration.
+    sys_ = SetSystem(3, [[0], [1]], [0, 0])
+    with pytest.raises(NoProgress) as oracle:
+        opt_set_cover(sys_)
+    with pytest.raises(NoProgress) as greedy:
+        greedy_set_cover(sys_)
+    assert str(oracle.value) == str(greedy.value)
 
 
 # ------------------------------------------------------------- opt_fair_cover

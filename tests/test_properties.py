@@ -164,7 +164,8 @@ def test_an_empty_universe_gets_the_empty_cover(name):
 def test_a_color_the_system_lacks_has_an_empty_pool():
     # Two shares for a one-color system: a positive share for the missing
     # color is InsufficientColor everywhere (no fair cover for the oracle),
-    # a zero share covers everywhere.
+    # a zero share covers everywhere. Color 1 of runs_out runs out after
+    # one round, and every run reports it the same way.
     # The three runs that round the coverage relaxation take set 1 first:
     # of its optima x = (1, 0) and (0, 1), the dual loop brings x0 in for
     # the quota row, then shifts the mass to x1 for element 1's coverage
@@ -172,9 +173,13 @@ def test_a_color_the_system_lacks_has_an_empty_pool():
     coverage_lp = ("eff_fsc_lp", "gfsc_lp_sub", "multicover_mkcc_sub")
     want = {name: (1, 0) if name in coverage_lp else (0, 1) for name in ALGORITHMS}
     system = SetSystem(2, [[0], [1]], [0, 0])
+    runs_out = SetSystem(3, [[0], [1], [2]], [0, 0, 1])
+    once = r"^group 1 has 0 unpicked set\(s\) but 1 are needed$"
     for name, run in ALGORITHMS.items():
         with pytest.raises(InsufficientColor):
             run(system, count_parity(2), 0)
+        with pytest.raises(InsufficientColor, match=once):
+            run(runs_out, count_parity(2), 0)
         assert run(system, FairnessSpec([1, 0]), 0).selected == want[name], name
     assert opt_fair_cover(system, count_parity(2)) is None
     assert opt_fair_cover(system, FairnessSpec([1, 0])).selected == (0, 1)
