@@ -138,7 +138,7 @@ def _split(system: SetSystem, counts: Sequence[int]):
     with the most combinations, and the prefix tables are the others in
     color order. With no positive count, the one completion is the empty
     selection."""
-    tables = _quota_tables(system.masks, system.sets_by_color, counts) or [[((), 0)]]
+    tables = list(_quota_tables(system.masks, system.sets_by_color, counts)) or [[((), 0)]]
     j = max(range(len(tables)), key=lambda h: len(tables[h]))
     return tables[:j] + tables[j + 1:], tables[j]
 

@@ -183,11 +183,12 @@ def naive_fsc(system: SetSystem, spec: FairnessSpec) -> Cover:
 
 
 def _quota_tables(masks: Sequence[int], pools: Sequence[Sequence[int]], counts: Sequence[int]):
-    """For each color h with a positive count, every way to take counts[h]
-    ids from pools[h], as (combination, its mask) in combinations() order.
-    Raises, before building anything, InsufficientColor when a pool is short
-    (see check_pools) and BudgetExceeded when the tables' product holds more
-    than TUPLE_BUDGET tuples."""
+    """Yields, for each color h with a positive count, the list of every way
+    to take counts[h] ids from pools[h], as (combination, its mask) in
+    combinations() order. Raises, before building anything, InsufficientColor
+    when a pool is short (see check_pools) and BudgetExceeded when the
+    tables' product holds more than TUPLE_BUDGET tuples. Nothing runs until
+    the first table is asked for."""
     check_pools(pools, counts)
     total = 1
     for pool, c in zip(pools, counts):
@@ -196,11 +197,9 @@ def _quota_tables(masks: Sequence[int], pools: Sequence[Sequence[int]], counts: 
         raise BudgetExceeded(
             f"{total} candidate tuples exceeds the budget of {TUPLE_BUDGET}"
         )
-    return [
-        [(combo, union_of(masks, combo)) for combo in combinations(pool, c)]
-        for pool, c in zip(pools, counts)
-        if c > 0
-    ]
+    for pool, c in zip(pools, counts):
+        if c > 0:
+            yield [(combo, union_of(masks, combo)) for combo in combinations(pool, c)]
 
 
 def _quota_tuples(
@@ -211,7 +210,7 @@ def _quota_tuples(
     its mask) per color with a positive count, and _ids(parts) gives the
     ascending ids. Callers score the mask first and build ids only for
     contenders. _quota_tables' errors are raised before the first tuple."""
-    yield from _tuples_of(_quota_tables(masks, pools, counts))
+    return _tuples_of(_quota_tables(masks, pools, counts))
 
 
 def _tuples_of(tables):
