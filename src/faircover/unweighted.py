@@ -116,8 +116,9 @@ def _lightest_candidate(candidates, uncovered: int, weight) -> tuple[int, ...] |
     once per call, NaN unless each is positive (model._positive_weight). A
     candidate whose sums, added combination by combination, come to more
     than _SKIP_MARGIN times the best score per new element is skipped
-    unweighed (when the best is at most zero, so is every candidate past
-    it); NaN never skips. The rest are weighed in ascending id order."""
+    unweighed: its score is above the best, or above zero when the best is
+    at most zero. NaN never skips. The rest are weighed in ascending id
+    order."""
     best_ids, best = None, 0.0
     sums: dict[tuple[int, ...], float] = {}
     for parts, mask in candidates:
