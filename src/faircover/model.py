@@ -44,11 +44,16 @@ def union_of(masks: Sequence[int], ids: Iterable[int]) -> int:
     return out
 
 
+# _BYTE_BITS[v]: the set bits of the byte value v, ascending.
+_BYTE_BITS = tuple(tuple(b for b in range(8) if v >> b & 1) for v in range(256))
+
+
 def elements_of(mask: int) -> list[int]:
     """The elements whose bits are set in mask, ascending."""
-    # One pass over the binary digits, lowest first: clearing one bit at a
-    # time would copy the whole int once per element.
-    return [e for e, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+    # One pass over the mask's bytes: clearing one bit at a time would copy
+    # the whole int once per element.
+    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    return [8 * k + b for k, v in enumerate(data) if v for b in _BYTE_BITS[v]]
 
 
 def _positive_weight(w: float) -> bool:

@@ -67,7 +67,7 @@ def test_masks_ignore_ids_outside_the_universe():
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(min_value=0, max_value=(1 << 300) - 1))
+@given(st.integers(min_value=0, max_value=(1 << 2000) - 1))
 def test_elements_of_lists_the_set_bits_by_definition(mask):
     assert elements_of(mask) == [e for e in range(mask.bit_length()) if mask >> e & 1]
 
