@@ -169,6 +169,19 @@ def check_pools(pools: Sequence[Sequence[int]], counts: Sequence[int]) -> None:
             raise InsufficientColor(h, need, have)
 
 
+def _weight_gate(system: SetSystem) -> bool:
+    """Whether every weight passes _positive_weight, the one test that lets
+    a weight scan (the weight-per-element rounds and the weighted oracle)
+    skip a candidate or stop early; each scan asks once per run. Raises
+    ValueError naming the first set whose weight is NaN, since no scan can
+    rank a NaN score."""
+    weights = system.weights or ()
+    for i, w in enumerate(weights):
+        if math.isnan(w):
+            raise ValueError(f"set {i} has weight NaN")
+    return all(map(_positive_weight, weights))
+
+
 @dataclass(frozen=True)
 class ValidationOutcome:
     """Structured result of validate_instance; ok means no violations."""

@@ -2,13 +2,18 @@
 
 Each oracle returns the lexicographically smallest optimum, so repeated
 runs agree bit for bit. Sets are scored through their int bitmasks
-(SetSystem.masks). The quota oracles share the exhaustive rounds' rules in
-unweighted: at each round count t they take every color's (combination,
-mask) table from _quota_tables, so one pool check and one TUPLE_BUDGET over
-the tables' whole product bound them and the rounds, and a refusal comes
-before any scoring; _tuples_of is the one loop over a product of tables;
-the weighted scans skip by the one margin, _SKIP_MARGIN, and only when
-every weight passes model._positive_weight.
+(SetSystem.masks). opt_set_cover, opt_fair_cover and opt_fair_multicover
+first OR every mask once, so a universe with an element in no set is
+answered before any scan.
+
+The quota oracles share the exhaustive rounds' rules in unweighted: at
+each round count t they take the split of _split, so one pool check and
+one TUPLE_BUDGET over the tables' whole product bound them and the rounds,
+and a refusal comes before any scoring; _tuples_of is the one loop over a
+product of tables; the weighted scan asks model._weight_gate once, which
+refuses a NaN weight, skips by the one margin, _SKIP_MARGIN, only when
+every weight is positive, and takes its weight sums and lightest-first
+completions from _weighed, as the rounds do.
 
 The largest table at t, of C combinations, holds the completions; the
 product of the other tables, P selections, holds the prefixes. Work per t:
@@ -28,7 +33,8 @@ product of the other tables, P selections, holds the prefixes. Work per t:
 - opt_fair_multicover: at most P * C demand tests, each adding one
   completion to coverage levels computed once per prefix, and one id
   tuple per prefix: its first completion meeting every demand.
-- opt_mkcc scores all P * C tuples of its round through _best_candidate.
+- opt_mkcc scores the P * C tuples of its round through _best_candidate,
+  or with weighted_ratio through _lightest_candidate, the rounds' scans.
 
 opt_set_cover keeps its own scan by selection size, which stops at the
 first cover.
@@ -41,9 +47,9 @@ from itertools import accumulate, combinations
 from typing import Sequence
 
 from .errors import AllTuplesZeroCoverage, BudgetExceeded, NoProgress
-from .model import Cover, FairnessSpec, SetSystem, _positive_weight, mask_of, union_of
-from .unweighted import (_SKIP_MARGIN, _best_candidate, _ids, _quota_tables, _quota_tuples,
-                         _tuples_of)
+from .model import Cover, FairnessSpec, SetSystem, _weight_gate, mask_of, union_of
+from .unweighted import (_SKIP_MARGIN, _best_candidate, _ids, _lightest_candidate, _split,
+                         _tuples_of, _weighed)
 
 MAX_SETS_EXACT = 22
 MAX_SETS_EXACT_MULTI = 20
@@ -59,21 +65,26 @@ def opt_set_cover(system: SetSystem) -> Cover:
         raise BudgetExceeded(f"{mu} sets exceeds exact budget {MAX_SETS_EXACT}")
     masks = system.masks
     full = (1 << system.n) - 1
-    for size in range(mu + 1):
+    if union_of(masks, range(mu)) != full:
+        raise NoProgress("uncovered elements remain but no set touches them")
+    for size in range(mu):
         for combo in combinations(range(mu), size):
             acc = 0
             for i in combo:
                 acc |= masks[i]
             if acc == full:
                 return Cover.from_selection(system, combo)
-    raise NoProgress("uncovered elements remain but no set touches them")
+    return Cover.from_selection(system, tuple(range(mu)))
 
 
 def _fair_sizes(system: SetSystem, spec: FairnessSpec) -> range:
     """The round counts t for which every color h of positive share owns
     t * per_round[h] sets; since the quotas sum to p, t * p sets exist too.
     The scan starts at t = 1, or at t = 0 for an empty universe, which the
-    empty selection covers."""
+    empty selection covers. There is no t when some element is in no set:
+    one OR of every mask answers before any table is built."""
+    if union_of(system.masks, range(system.num_sets)) != (1 << system.n) - 1:
+        return range(0)
     sizes = system.group_sizes
     return range(0 if system.n == 0 else 1, 1 + min(
         (sizes[h] if h < len(sizes) else 0) // p for h, p in enumerate(spec.per_round) if p > 0
@@ -89,8 +100,9 @@ def opt_fair_cover(
     Unweighted: minimum cardinality (fair covers only come in multiples of
     spec.p sets, so the scan walks t = 1, 2, ... rounds and stops at the
     first t admitting a cover). Weighted: minimum total weight over all
-    feasible t, since more but lighter sets can beat a small cover. When
-    every weight is positive (model._positive_weight), the scan stops at
+    feasible t, since more but lighter sets can beat a small cover, and
+    ValueError is raised for a NaN weight (model._weight_gate). When every
+    weight is positive (model._weight_gate again), the scan stops at
     the first t whose lower bound (the t * p_h lightest sets of each color
     h) passes the best weight by more than _SKIP_MARGIN, which keeps the
     (weight, size, selection) tie-break intact under any summation order.
@@ -107,7 +119,7 @@ def opt_fair_cover(
     lightest = None
     if weighted:
         weights = [system.weight(i) for i in range(mu)]
-        if all(map(_positive_weight, weights)):
+        if _weight_gate(system):
             lightest = [
                 list(accumulate(sorted(weights[i] for i in g), initial=0.0))
                 for g in system.sets_by_color
@@ -118,40 +130,19 @@ def opt_fair_cover(
             bound = sum(lightest[h][t * p] for h, p in enumerate(spec.per_round) if p > 0)
             if bound > best[0] * _SKIP_MARGIN:
                 break
-        prefix_tables, completions = _split(system, [t * p for p in spec.per_round])
+        split = _split(system.masks, system.sets_by_color, [t * p for p in spec.per_round])
         if not weighted:
-            found = _least_cover(prefix_tables, completions, full)
+            found = _least_cover(split, full)
             if found is not None:
                 return Cover.from_selection(system, found)
             continue
-        best = _lightest_cover(
-            prefix_tables, completions, full, weights.__getitem__, best, lightest is not None
-        )
+        best = _lightest_cover(split, full, weights.__getitem__, best, lightest is not None)
     if best is not None:
         return Cover.from_selection(system, best[2])
     return None
 
 
-def _split(system: SetSystem, counts: Sequence[int]):
-    """The quota tables of counts over the system's colors (_quota_tables)
-    as (prefix tables, completions): the completions are the first table
-    with the most combinations, and the prefix tables are the others in
-    color order. With no positive count, the one completion is the empty
-    selection."""
-    tables = list(_quota_tables(system.masks, system.sets_by_color, counts)) or [[((), 0)]]
-    j = max(range(len(tables)), key=lambda h: len(tables[h]))
-    return tables[:j] + tables[j + 1:], tables[j]
-
-
-def _reach(completions) -> int:
-    """The elements some completion covers."""
-    out = 0
-    for _, m in completions:
-        out |= m
-    return out
-
-
-def _least_cover(prefix_tables, completions, full: int) -> tuple[int, ...] | None:
+def _least_cover(split, full: int) -> tuple[int, ...] | None:
     """The smallest ascending ids of a full cover made of one prefix and
     one completion, or None when there is none.
 
@@ -159,7 +150,10 @@ def _least_cover(prefix_tables, completions, full: int) -> tuple[int, ...] | Non
     earlier in combinations() order gives the smaller ascending ids. Each
     prefix's scan therefore stops at its first full completion, whose ids
     alone are built: at most one id tuple per prefix."""
-    reach = _reach(completions)
+    prefix_tables, completions = split
+    reach = 0  # the elements some completion covers
+    for _, m in completions:
+        reach |= m
     found = None
     for prefix, pm in _tuples_of(prefix_tables):
         if pm | reach != full:
@@ -173,43 +167,40 @@ def _least_cover(prefix_tables, completions, full: int) -> tuple[int, ...] | Non
     return found
 
 
-def _lightest_cover(prefix_tables, completions, full: int, weight, best, positive: bool):
+def _lightest_cover(split, full: int, weight, best, positive: bool):
     """best, or a smaller (weight, size, ids) key of a full cover made of
     one prefix and one completion, its weight summed in ascending id order.
 
     With positive weights, a cover whose weight summed part by part passes
     best's by more than _SKIP_MARGIN is dropped unweighed. Given prefix
-    tables, each combination's weight is summed once, the completions are
-    sorted by weight, and each prefix scans them lightest first and stops
-    at the first one dropped; best includes the prefix's first full
-    completion once it is weighed. With a single prefix, the completions
+    tables, each combination's weight is summed once and the completions
+    are sorted by weight (_weighed, as in the rounds); each prefix scans
+    them lightest first and stops at the first one dropped; best includes
+    the prefix's first full completion once it is weighed. With a single prefix, the completions
     are scanned in combinations() order and a full one is dropped on its
     own weight. Other weights weigh every full cover. Every cover kept is
     weighed, so ties break as in a scan of every selection."""
-    ordered = positive and bool(prefix_tables)
-    sums = {}
-    if ordered:
-        sums = {c: sum(map(weight, c)) for table in (*prefix_tables, completions) for c, _ in table}
-        completions = sorted(completions, key=lambda part: sums[part[0]])
-    reach = _reach(completions)
-    cut = best[0] * _SKIP_MARGIN if positive and best is not None else math.inf
+    prefix_tables, completions, sums = _weighed(split, weight, positive)
+    reach = 0
+    for _, m in completions:
+        reach |= m
+    # cut is read only with positive weights.
+    cut = math.inf if best is None else best[0] * _SKIP_MARGIN
     for prefix, pm in _tuples_of(prefix_tables):
         if pm | reach != full:
             continue
-        wp = sum([sums[c] for c, _ in prefix]) if ordered else 0.0
+        wp = sum([sums[c] for c, _ in prefix]) if sums else 0.0
         for part in completions:
-            if ordered and wp + sums[part[0]] > cut:
+            if sums and wp + sums[part[0]] > cut:
                 break
             if pm | part[1] != full:
                 continue
-            if positive and not ordered and sum(map(weight, part[0])) > cut:
+            if positive and not sums and sum(map(weight, part[0])) > cut:
                 continue
             sel = _ids(prefix + (part,))
             key = (sum(map(weight, sel)), len(sel), sel)
             if best is None or key < best:
-                best = key
-                if positive:
-                    cut = key[0] * _SKIP_MARGIN
+                best, cut = key, key[0] * _SKIP_MARGIN
     return best
 
 
@@ -226,11 +217,13 @@ def opt_mkcc(
     minimize total weight per newly covered element. Either way tuples that
     cover nothing are skipped, and AllTuplesZeroCoverage is raised when no
     tuple covers a new element. Returns (ids ascending, objective value);
-    ties prefer the lexicographically smallest tuple.
+    ties prefer the lexicographically smallest tuple. With weighted_ratio,
+    a NaN weight raises ValueError (model._weight_gate).
     """
     unc = mask_of(uncovered, system.n)
-    weight = system.weight if weighted_ratio else None
-    ids = _best_candidate(_quota_tuples(system.masks, remaining_sets, per_round), unc, weight)
+    split = _split(system.masks, remaining_sets, per_round)
+    ids = (_lightest_candidate(split, unc, system.weight, _weight_gate(system)) if weighted_ratio
+           else _best_candidate(split, unc))
     if ids is None:
         raise AllTuplesZeroCoverage("no tuple with positive coverage exists")
     new = (union_of(system.masks, ids) & unc).bit_count()
@@ -255,7 +248,8 @@ def opt_fair_multicover(instance, spec: FairnessSpec) -> Cover | None:
     ]
     masks = system.masks
     for t in _fair_sizes(system, spec):
-        prefix_tables, completions = _split(system, [t * p for p in spec.per_round])
+        split = _split(masks, system.sets_by_color, [t * p for p in spec.per_round])
+        prefix_tables, completions = split
         found: tuple[int, ...] | None = None
         # As in _least_cover, each prefix's first completion meeting every
         # demand has the least ids of its selections that do.

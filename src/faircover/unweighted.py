@@ -1,9 +1,20 @@
 """Unweighted cover algorithms, from plain greedy to quota-respecting rounds.
 
 Every cover loop, here and in weighted and multicover, is the _run_rounds
-driver with its own round picker; every candidate argmax is _best_candidate;
-every LP-rounded round, the weighted target sweep's included, draws its
-samples through _draw.
+driver with its own round picker; every LP-rounded round, the weighted
+target sweep's included, draws its samples through _draw.
+
+Every exhaustive scan, of the rounds here and in weighted and of the
+oracles, has one shape, the split _split builds: prefix tables, whose
+product (_tuples_of) gives the prefixes, and one table of completions. A
+tuple is a prefix plus a completion; a scan ORs each prefix's mask once,
+then tests the completions against it. A one-set scan is a split with no
+prefix table. _best_candidate takes the argmax of new coverage and
+_lightest_candidate the argmin of weight per new element. A weight scan
+asks model._weight_gate once per run, which refuses a NaN weight; only
+when every weight is positive may it skip a candidate or stop a prefix
+early, and then it sums each combination's weight once and scans the
+completions lightest first (_weighed).
 
 Determinism contract: all ties break toward the smallest set index (for
 single picks) or the lexicographically smallest sorted id tuple (for round
@@ -22,8 +33,8 @@ import numpy as np
 
 from .errors import BudgetExceeded, NoProgress, NumericalFailure
 from .lp import LpSolver, build_mkcc_lp, round_laws, solve
-from .model import (Cover, FairnessSpec, SetSystem, _positive_weight, check_pools, elements_of,
-                    quota_counts, union_of)
+from .model import (Cover, FairnessSpec, SetSystem, check_pools, elements_of, quota_counts,
+                    union_of)
 
 # Refuse any quota-tuple enumeration (exhaustive rounds and the oracles)
 # with more candidate tuples than this.
@@ -91,62 +102,76 @@ def _run_rounds(system: SetSystem, pick, stuck, commit=None) -> Cover:
     return state.to_cover(system)
 
 
-def _best_candidate(candidates, uncovered: int, weight=None) -> tuple[int, ...] | None:
-    """The ids of the (parts, mask) candidate, as _quota_tuples yields them,
-    covering the most of uncovered or, given weight, the least total weight
-    (summed in ascending id order) per new element; ties go to the smallest
-    ids, and None means no candidate covers a new element. Without weight,
-    ids are built only for a candidate covering at least as much as the
-    best so far; with weight, see _lightest_candidate."""
-    if weight is not None:
-        return _lightest_candidate(candidates, uncovered, weight)
+def _best_candidate(split, uncovered: int) -> tuple[int, ...] | None:
+    """The ids of the tuple of split (see _split) covering the most of
+    uncovered; ties go to the smallest ids, and None means no tuple covers
+    a new element. Ids are built only for a tuple covering at least as
+    much as the best so far."""
+    prefix_tables, completions = split
     best_ids, best = None, 0
-    for parts, mask in candidates:
-        new = (mask & uncovered).bit_count()
-        if new == 0 or new < best:
-            continue
-        ids = _ids(parts)
-        if new > best or best_ids is None or ids < best_ids:
-            best_ids, best = ids, new
-    return best_ids
-
-
-def _lightest_candidate(candidates, uncovered: int, weight) -> tuple[int, ...] | None:
-    """_best_candidate with a weight. Each combination's weights are summed
-    once per call, NaN unless each is positive (model._positive_weight). A
-    candidate whose sums, added combination by combination, come to more
-    than _SKIP_MARGIN times the best score per new element is skipped
-    unweighed: its score is above the best, or above zero when the best is
-    at most zero. NaN never skips. The rest are weighed in ascending id
-    order."""
-    best_ids, best = None, 0.0
-    sums: dict[tuple[int, ...], float] = {}
-    for parts, mask in candidates:
-        new = (mask & uncovered).bit_count()
-        if new == 0:
-            continue
-        if best_ids is not None:
-            rough = 0.0
-            for combo, _ in parts:
-                w = sums.get(combo)
-                if w is None:
-                    ws = [weight(i) for i in combo]
-                    w = sums[combo] = sum(ws) if all(map(_positive_weight, ws)) else math.nan
-                rough += w
-            if rough / new > best * _SKIP_MARGIN:
+    for prefix, pm in _tuples_of(prefix_tables):
+        for part in completions:
+            new = ((pm | part[1]) & uncovered).bit_count()
+            if new == 0 or new < best:
                 continue
-        ids = _ids(parts)
-        score = sum(map(weight, ids)) / new
-        if score < best or best_ids is None or (score == best and ids < best_ids):
-            best_ids, best = ids, score
+            ids = _ids(prefix + (part,))
+            if new > best or best_ids is None or ids < best_ids:
+                best_ids, best = ids, new
     return best_ids
+
+
+def _lightest_candidate(split, uncovered: int, weight, positive: bool) -> tuple[int, ...] | None:
+    """The ids of the tuple of split with the least total weight (summed
+    in ascending id order) per newly covered element of uncovered; ties go
+    to the smallest ids, and None means no tuple covers a new element.
+
+    positive is _weight_gate's answer for the run. Given it and prefix
+    tables, each prefix scans the completions lightest first (_weighed): a
+    tuple whose weight, summed combination by combination, is more than
+    _SKIP_MARGIN times the best score per new element is skipped unweighed,
+    and the scan of a prefix stops once that weight per uncovered element
+    passes the margin, since no later completion can score better. Every
+    other tuple that covers a new element is weighed."""
+    prefix_tables, completions, sums = _weighed(split, weight, positive)
+    spread = uncovered.bit_count()
+    # cut is _SKIP_MARGIN times the best score, inf before the first. The
+    # checks multiply it by a count rather than divide by one, so nothing
+    # uncovered needs no guard: inf * 0 is NaN, and no weight passes NaN.
+    best_ids, best, cut = None, 0.0, math.inf
+    for prefix, pm in _tuples_of(prefix_tables):
+        wp = sum([sums[c] for c, _ in prefix]) if sums else 0.0
+        for part in completions:
+            if sums:
+                w = wp + sums[part[0]]
+                if w > cut * spread:
+                    break
+            new = ((pm | part[1]) & uncovered).bit_count()
+            if new == 0 or sums and w > cut * new:
+                continue
+            ids = _ids(prefix + (part,))
+            score = sum(map(weight, ids)) / new
+            if best_ids is None or score < best or (score == best and ids < best_ids):
+                best_ids, best, cut = ids, score, score * _SKIP_MARGIN
+    return best_ids
+
+
+def _weighed(split, weight, positive: bool):
+    """split as (prefix tables, completions, sums). With positive weights
+    and prefix tables, sums maps each combination to its weight, summed
+    once, and the completions come lightest first; otherwise sums is empty
+    and the completions keep their order."""
+    prefix_tables, completions = split
+    if not (positive and prefix_tables):
+        return prefix_tables, completions, {}
+    sums = {c: sum(map(weight, c)) for table in (*prefix_tables, completions) for c, _ in table}
+    return prefix_tables, sorted(completions, key=lambda part: sums[part[0]]), sums
 
 
 def greedy_set_cover(system: SetSystem) -> Cover:
     """Classic greedy: each round takes the set covering the most new
     elements, ignoring colors entirely. Guarantees (ln n + 1) times the
     optimum size but can be arbitrarily lopsided across groups."""
-    sets = _singletons(system)
+    sets = ([], _singletons(system))
     stuck = NoProgress("uncovered elements remain but no set touches them")
     return _run_rounds(system, lambda state: _best_candidate(sets, state.uncovered), stuck)
 
@@ -183,35 +208,27 @@ def naive_fsc(system: SetSystem, spec: FairnessSpec) -> Cover:
     return _pad_to_quotas(system, spec, greedy_set_cover(system))
 
 
-def _quota_tables(masks: Sequence[int], pools: Sequence[Sequence[int]], counts: Sequence[int]):
-    """Yields, for each color h with a positive count, the list of every way
-    to take counts[h] ids from pools[h], as (combination, its mask) in
-    combinations() order. Raises, before building anything, InsufficientColor
-    when a pool is short (see check_pools) and BudgetExceeded when the
-    tables' product holds more than TUPLE_BUDGET tuples. Nothing runs until
-    the first table is asked for."""
+def _split(masks: Sequence[int], pools: Sequence[Sequence[int]], counts: Sequence[int]):
+    """Every way to take counts[h] ids from pools[h] for each color h, as
+    (prefix tables, completions). Each color with a positive count has a
+    table of every (combination, its mask) in combinations() order; the
+    completions are the first table with the most combinations, the prefix
+    tables the others in color order, and a tuple is one prefix
+    (_tuples_of) plus one completion. With no positive count, the one
+    completion is the empty selection. Raises, before building any table,
+    InsufficientColor when a pool is short (see check_pools) and
+    BudgetExceeded when the tables' product holds more than TUPLE_BUDGET
+    tuples."""
     check_pools(pools, counts)
-    total = 1
-    for pool, c in zip(pools, counts):
-        total *= math.comb(len(pool), c)
+    total = math.prod(math.comb(len(pool), c) for pool, c in zip(pools, counts))
     if total > TUPLE_BUDGET:
         raise BudgetExceeded(
             f"{total} candidate tuples exceeds the budget of {TUPLE_BUDGET}"
         )
-    for pool, c in zip(pools, counts):
-        if c > 0:
-            yield [(combo, union_of(masks, combo)) for combo in combinations(pool, c)]
-
-
-def _quota_tuples(
-    masks: Sequence[int], pools: Sequence[Sequence[int]], counts: Sequence[int]
-):
-    """Every way to take counts[h] ids from pools[h] for each color h, as
-    _tuples_of gives them over _quota_tables: parts holds one (combination,
-    its mask) per color with a positive count, and _ids(parts) gives the
-    ascending ids. Callers score the mask first and build ids only for
-    contenders. _quota_tables' errors are raised before the first tuple."""
-    return _tuples_of(_quota_tables(masks, pools, counts))
+    tables = [[(combo, union_of(masks, combo)) for combo in combinations(pool, c)]
+              for pool, c in zip(pools, counts) if c > 0] or [[((), 0)]]
+    j = max(range(len(tables)), key=lambda h: len(tables[h]))
+    return tables[:j] + tables[j + 1:], tables[j]
 
 
 def _tuples_of(tables):
@@ -227,13 +244,13 @@ def _tuples_of(tables):
 
 
 def _ids(parts) -> tuple[int, ...]:
-    """The ascending ids of a _quota_tuples candidate's parts."""
+    """The ascending ids of a tuple's (combination, mask) parts."""
     return tuple(sorted([i for combo, _ in parts for i in combo]))
 
 
 def _singletons(system: SetSystem):
-    """Every set as a one-set candidate in _quota_tuples' (parts, mask) shape."""
-    return [((((i,), m),), m) for i, m in enumerate(system.masks)]
+    """Every set as a one-set (combination, mask) completion."""
+    return [((i,), m) for i, m in enumerate(system.masks)]
 
 
 def best_coverage_tuple(
@@ -242,8 +259,7 @@ def best_coverage_tuple(
     """Exhaustive argmax of new coverage over all quota tuples; ties go to
     the lexicographically smallest tuple, and None means no tuple covers a
     new element."""
-    tuples = _quota_tuples(system.masks, state.remaining, per_round)
-    return _best_candidate(tuples, state.uncovered)
+    return _best_candidate(_split(system.masks, state.remaining, per_round), state.uncovered)
 
 
 def greedy_allpick(system: SetSystem, spec: FairnessSpec) -> Cover:
@@ -274,8 +290,8 @@ def mkcc_greedy(
     sets = _singletons(system)
     # A taken set covers nothing of working, so the argmax never re-takes it.
     while working:
-        eligible = (sets[i] for g, q in zip(state.remaining, quota_left) if q > 0 for i in g)
-        best = _best_candidate(eligible, working)
+        eligible = [sets[i] for g, q in zip(state.remaining, quota_left) if q > 0 for i in g]
+        best = _best_candidate(([], eligible), working)
         if best is None:
             break
         (i,) = best

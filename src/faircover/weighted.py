@@ -25,15 +25,15 @@ from .errors import (
     ResampleCapExceeded,
 )
 from .lp import LpSolver, build_weighted_mkcc_lp, round_laws, solve
-from .model import Cover, FairnessSpec, SetSystem, elements_of
+from .model import Cover, FairnessSpec, SetSystem, _weight_gate, elements_of
 from .unweighted import (
     GreedyState,
-    _best_candidate,
     _draw,
+    _lightest_candidate,
     _pad_to_quotas,
-    _quota_tuples,
     _run_rounds,
     _singletons,
+    _split,
     as_rng,
     sample_round_tuple,  # the sweep samples through _draw; perfbench's tests read this name
 )
@@ -76,12 +76,16 @@ def naive_wfsc(system: SetSystem, spec: FairnessSpec) -> Cover:
     element; padding then fills each group's quota with its cheapest
     unpicked sets. Guarantee: k * delta * (ln n + 1) times the optimal
     quota-respecting weight, delta being the weight spread. Raises
-    ZeroFractionViolated as naive_fsc does."""
-    sets = _singletons(system)
+    ZeroFractionViolated as naive_fsc does, and ValueError for a NaN
+    weight (model._weight_gate)."""
+    positive = _weight_gate(system)
+    sets = ([], _singletons(system))
+
+    def pick(state: GreedyState) -> tuple[int, ...] | None:
+        return _lightest_candidate(sets, state.uncovered, system.weight, positive)
+
     stuck = AllTuplesZeroCoverage("uncovered elements remain but no set touches them")
-    cover = _run_rounds(
-        system, lambda state: _best_candidate(sets, state.uncovered, system.weight), stuck
-    )
+    cover = _run_rounds(system, pick, stuck)
     return _pad_to_quotas(system, spec, cover, key=lambda i: (system.weight(i), i))
 
 
@@ -91,11 +95,13 @@ def greedy_weighted_allpick(system: SetSystem, spec: FairnessSpec) -> Cover:
     Rounds enumerate every quota tuple, skip those covering nothing new,
     and commit the cheapest per new element (ties to the lexicographically
     smallest tuple). Guarantee: delta * (ln n + 1) times the optimal
-    quota-respecting weight."""
+    quota-respecting weight. Raises ValueError for a NaN weight
+    (model._weight_gate)."""
+    positive = _weight_gate(system)
 
     def pick(state: GreedyState) -> tuple[int, ...] | None:
-        tuples = _quota_tuples(system.masks, state.remaining, spec.per_round)
-        return _best_candidate(tuples, state.uncovered, system.weight)
+        split = _split(system.masks, state.remaining, spec.per_round)
+        return _lightest_candidate(split, state.uncovered, system.weight, positive)
 
     stuck = AllTuplesZeroCoverage("every quota tuple covers zero new elements")
     return _run_rounds(system, pick, stuck)

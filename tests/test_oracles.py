@@ -54,14 +54,17 @@ def test_opt_set_cover_budget_wall():
         opt_set_cover(sys_)
 
 
-def test_opt_set_cover_reports_an_uncoverable_universe_as_greedy_does():
-    # The scan has finished, so this is no refused enumeration.
-    sys_ = SetSystem(3, [[0], [1]], [0, 0])
-    with pytest.raises(NoProgress) as oracle:
-        opt_set_cover(sys_)
-    with pytest.raises(NoProgress) as greedy:
-        greedy_set_cover(sys_)
-    assert str(oracle.value) == str(greedy.value)
+def test_opt_set_cover_reports_an_uncoverable_universe_as_greedy_does(monkeypatch):
+    # This is no refused enumeration: one OR of every mask answers before
+    # any selection is tried, so the 22-set system, whose 4.2 million
+    # selections a scan would walk first, raises at once.
+    monkeypatch.setattr(oracles, "combinations", lambda *args: pytest.fail("selections tried"))
+    for sys_ in (SetSystem(3, [[0], [1]], [0, 0]), SetSystem(2, [[0]] * 22, [0] * 22)):
+        with pytest.raises(NoProgress) as oracle:
+            opt_set_cover(sys_)
+        with pytest.raises(NoProgress) as greedy:
+            greedy_set_cover(sys_)
+        assert str(oracle.value) == str(greedy.value)
 
 
 # ------------------------------------------------------------- opt_fair_cover
@@ -77,6 +80,19 @@ def test_opt_fair_cover_reports_infeasible_as_none():
     # One pair cannot cover all three elements and color 1 cannot supply two.
     sys_ = SetSystem(3, [[0], [1], [2]], [0, 0, 1])
     assert opt_fair_cover(sys_, count_parity(2)) is None
+
+
+def test_quota_oracles_answer_an_uncoverable_universe_at_once(monkeypatch):
+    # Element 1 is in no set, so no fair cover or multicover exists. One OR
+    # of every mask answers before any round count's tables are built; a
+    # scan of every t would walk millions of selections first.
+    monkeypatch.setattr(oracles, "_split", lambda *args: pytest.fail("tables built"))
+    monkeypatch.setattr(oracles, "combinations", lambda *args: pytest.fail("selections tried"))
+    sys22 = SetSystem(2, [[0]] * 22, [0] * 22)
+    assert opt_fair_cover(sys22, count_parity(1)) is None
+    assert opt_fair_cover(sys22, count_parity(1), weighted=True) is None
+    inst = MulticoverInstance(SetSystem(2, [[0]] * 20, [0] * 20), [1, 1])
+    assert opt_fair_multicover(inst, count_parity(1)) is None
 
 
 def test_opt_fair_cover_never_beats_unfair_optimum():
@@ -163,17 +179,17 @@ def test_oracles_build_at_most_one_id_tuple_per_prefix(monkeypatch, weighted):
     # weighted over the corpus, where a scan of every selection built 106
     # unweighted, one per optimal-size fair cover).
     seen, built = [], []
-    real_tables, real_ids = oracles._quota_tables, unweighted._ids
+    real_split, real_ids = oracles._split, unweighted._ids
 
-    def tables(masks, pools, counts):
+    def split(masks, pools, counts):
         seen.append(tuple(counts))
-        return real_tables(masks, pools, counts)
+        return real_split(masks, pools, counts)
 
     def ids(parts):
         built.append(1)
         return real_ids(parts)
 
-    monkeypatch.setattr(oracles, "_quota_tables", tables)
+    monkeypatch.setattr(oracles, "_split", split)
     monkeypatch.setattr(oracles, "_ids", ids)
     for seed in range(6):
         k = 2 + seed % 2
@@ -220,13 +236,13 @@ def scanned_round_counts(monkeypatch, sys_, spec):
     """The per-color counts of every round count t the weighted oracle
     enumerates, and its cover."""
     seen = []
-    real = oracles._quota_tables
+    real = oracles._split
 
     def counting(masks, pools, counts):
         seen.append(tuple(counts))
         return real(masks, pools, counts)
 
-    monkeypatch.setattr(oracles, "_quota_tables", counting)
+    monkeypatch.setattr(oracles, "_split", counting)
     return seen, opt_fair_cover(sys_, spec, weighted=True)
 
 
@@ -239,13 +255,18 @@ def test_weighted_oracle_stops_at_its_bound_only_on_positive_weights(
 ):
     # One round of a pair covers everything at weight at most 2, and two
     # rounds take all four sets. With positive weights the two-round bound
-    # (1 + weight + 1 + 1 > 2) ends the scan after t = 1; a zero, negative
-    # or NaN weight keeps the scan going over every t.
+    # (1 + weight + 1 + 1 > 2) ends the scan after t = 1; a zero or
+    # negative weight keeps the scan going over every t. A NaN weight is
+    # refused, naming its set, before any t is scanned.
     sys_ = SetSystem(2, [[0, 1], [0], [0, 1], [1]], [0, 0, 1, 1], [1.0, weight, 1.0, 1.0])
+    if selected is None:
+        monkeypatch.setattr(oracles, "_split", lambda *args: pytest.fail("a t was scanned"))
+        with pytest.raises(ValueError, match="^set 1 has weight NaN$"):
+            opt_fair_cover(sys_, count_parity(2), weighted=True)
+        return
     seen, cover = scanned_round_counts(monkeypatch, sys_, count_parity(2))
     assert seen == ([(1, 1)] if weight > 0 else [(1, 1), (2, 2)])
-    if selected is not None:
-        assert cover.selected == selected
+    assert cover.selected == selected
 
 
 def test_opt_fair_cover_respects_uneven_fractions():

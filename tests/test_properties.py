@@ -17,7 +17,8 @@ from faircover import lp
 from faircover.errors import AllTuplesZeroCoverage, FairCoverError, InsufficientColor
 from faircover.generalized import gfsc, gfwsc
 from faircover.lp import LpProblem, build_mkcc_lp, build_weighted_mkcc_lp, solve
-from faircover.model import FairnessSpec, SetSystem, count_parity, fairness_report, mask_of
+from faircover.model import (FairnessSpec, SetSystem, _weight_gate, count_parity, fairness_report,
+                             mask_of)
 from faircover.multicover import (
     MulticoverInstance,
     audit_harmonic_bound,
@@ -32,7 +33,8 @@ from faircover.oracles import (
 )
 from faircover.unweighted import (
     _best_candidate,
-    _quota_tuples,
+    _lightest_candidate,
+    _split,
     eff_fsc,
     greedy_allpick,
     greedy_set_cover,
@@ -335,15 +337,19 @@ def test_multicover_oracle_matches_the_itertools_reference(case, data):
 
 
 def assert_best_candidate_matches_reference(system, targets, remaining, per_round):
-    """_best_candidate over the round's quota tuples against brute_best_tuple:
-    the most new coverage, and the least weight (ascending id order) per new
-    element; ties to the smallest ids, None when no tuple covers a target."""
+    """_best_candidate and _lightest_candidate over the round's split against
+    brute_best_tuple: the most new coverage, and the least weight (ascending
+    id order) per new element; ties to the smallest ids, None when no tuple
+    covers a target."""
     unc = mask_of(targets, system.n)
     covered = brute_quota_tuples(system, remaining, per_round).values()
     hits = any(c & set(targets) for c in covered)
-    for weight in (None, system.weight):
-        got = _best_candidate(_quota_tuples(system.masks, remaining, per_round), unc, weight)
-        ratio = weight is not None
+    for ratio in (False, True):
+        split = _split(system.masks, remaining, per_round)
+        if ratio:
+            got = _lightest_candidate(split, unc, system.weight, _weight_gate(system))
+        else:
+            got = _best_candidate(split, unc)
         want = brute_best_tuple(system, targets, remaining, per_round, ratio)[1] if hits else None
         assert got == want, ratio
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from faircover import unweighted
 from faircover.errors import BudgetExceeded, InsufficientColor
 from faircover.model import SetSystem
-from faircover.unweighted import GreedyState, _ids, _quota_tuples
+from faircover.unweighted import GreedyState, _ids, _split, _tuples_of
 
 from support import brute_quota_tuples
 
@@ -44,19 +44,20 @@ def test_quota_tuples_match_itertools_reference(data):
     ref = brute_quota_tuples(sys_, pools, counts)
     budget = data.draw(st.integers(0, 2 * len(ref) + 1))
     with patch.object(unweighted, "TUPLE_BUDGET", budget):
-        tuples = _quota_tuples(sys_.masks, pools, counts)
         if not ref:
             # No tuple exists only when a pool is short, which is refused
-            # before the first tuple whatever the budget.
+            # before any table is built whatever the budget.
             with pytest.raises(InsufficientColor):
-                next(tuples)
+                _split(sys_.masks, pools, counts)
             return
         if len(ref) > budget:
-            # The refusal comes before the first tuple.
+            # The refusal comes before any table is built.
             with pytest.raises(BudgetExceeded):
-                next(tuples)
+                _split(sys_.masks, pools, counts)
             return
-        got = list(tuples)
+        prefix_tables, completions = _split(sys_.masks, pools, counts)
+    got = [(prefix + (part,), pm | part[1])
+           for prefix, pm in _tuples_of(prefix_tables) for part in completions]
     # Each part is one combination with the bits its sets cover in [0, n).
     for parts, _ in got:
         for combo, m in parts:

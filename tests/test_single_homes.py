@@ -1,7 +1,9 @@
 """Each rule of the exhaustive layer has one home in the package source:
-one loop over a product of combination tables (unweighted._tuples_of), and
-one spelling of the weight scans' skip margin (unweighted._SKIP_MARGIN).
-A second copy would drift from the first unseen."""
+one loop over a product of combination tables (unweighted._tuples_of), one
+spelling of the weight scans' skip margin (unweighted._SKIP_MARGIN), and
+one reader of the positive-weight test (model._positive_weight) besides
+validate_instance: the weight scans' gate, model._weight_gate. A second
+copy would drift from the first unseen."""
 
 import ast
 from pathlib import Path
@@ -58,3 +60,17 @@ def test_package_spells_the_skip_margin_once():
         and sorted([node.left.value, node.right.value]) == [1e-9, 1]
     ]
     assert [where.split(":")[0] for where in found] == ["unweighted.py"], found
+
+
+def test_only_the_gate_and_validation_read_the_positive_weight_test():
+    readers = []
+    for name, tree in _trees():
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                named = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if named == "_positive_weight":
+                    readers.append((name, func.name))
+    assert sorted(set(readers)) == [("model.py", "_weight_gate"),
+                                    ("model.py", "validate_instance")], readers

@@ -12,9 +12,11 @@ from faircover.errors import (
     InsufficientColor,
     ResampleCapExceeded,
 )
+from faircover.generalized import gfwsc
 from faircover.io_generators import gen_synthetic
 from faircover.lp import LpProblem, LpSolution
 from faircover.model import SetSystem, count_parity, fairness_report
+from faircover.oracles import opt_fair_cover, opt_mkcc
 from faircover.unweighted import GreedyState, greedy_allpick, naive_fsc
 from faircover.weighted import (
     ACCEPT_FACTOR,
@@ -128,6 +130,54 @@ def test_weighted_allpick_budget_refusal():
     sys_ = weighted_instance(0, n=10, m=4000)
     with pytest.raises(BudgetExceeded):
         greedy_weighted_allpick(sys_, SPEC2)
+
+
+def test_weighted_allpick_rounds_stop_each_prefix_early(monkeypatch):
+    # The work as a number: on a fixed corpus of two- and three-color
+    # systems with U(1, 5) weights, the rounds build at most 48 id tuples,
+    # where the same skip rule over every tuple in product() order built
+    # 66. Each prefix scans its completions lightest first and stops once
+    # their weight per uncovered element passes the best score by the
+    # margin, and the best is found sooner in that order.
+    built = []
+    real_ids = unweighted._ids
+
+    def ids(parts):
+        built.append(1)
+        return real_ids(parts)
+
+    monkeypatch.setattr(unweighted, "_ids", ids)
+    total = 0
+    for seed in range(6):
+        k = 2 + seed % 2
+        sys_ = gen_synthetic(10 + seed, 7 if k == 2 else 4, k, ("uniform", 0.3),
+                             ("uniform", 1.0, 5.0), seed=seed)
+        built.clear()
+        cover = greedy_weighted_allpick(sys_, count_parity(k))
+        assert len(built) >= len(cover.rounds), seed
+        total += len(built)
+    assert total <= 48
+
+
+# A NaN weight gives a NaN score, which ranks neither above nor below any
+# other, so the winner would hang on scan order.
+NAN_WEIGHT = SetSystem(2, [[], [], [0], [1]], [0, 1, 1, 0], [1.5, 1.0, 2.0, math.nan])
+
+
+@pytest.mark.parametrize("run, message", [
+    (lambda s: naive_wfsc(s, SPEC2), "^set 3 has weight NaN$"),
+    (lambda s: greedy_weighted_allpick(s, SPEC2), "^set 3 has weight NaN$"),
+    (lambda s: gfwsc(s, SPEC2, mode="exhaustive"), "^set 3 has weight NaN$"),
+    (lambda s: opt_fair_cover(s, SPEC2, weighted=True), "^set 3 has weight NaN$"),
+    (lambda s: opt_mkcc(s, [0, 1], s.sets_by_color, (1, 1), weighted_ratio=True),
+     "^set 3 has weight NaN$"),
+    (lambda s: eff_wfsc(s, SPEC2, rng=0), "^objective entries must be finite$"),
+    (lambda s: gfwsc(s, SPEC2, mode="lp_sub", rng=0), "^objective entries must be finite$"),
+], ids=["naive_wfsc", "greedy_weighted_allpick", "gfwsc-exhaustive", "opt_fair_cover",
+        "opt_mkcc", "eff_wfsc", "gfwsc-lp_sub"])
+def test_every_weight_scan_refuses_a_nan_weight(run, message):
+    with pytest.raises(ValueError, match=message):
+        run(NAN_WEIGHT)
 
 
 # ----------------------------------------------------------- sweep ingredients
