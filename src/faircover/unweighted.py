@@ -135,8 +135,8 @@ def _lightest_candidate(split, uncovered: int, weight, positive: bool) -> tuple[
     prefix_tables, completions, sums = _weighed(split, weight, positive)
     spread = uncovered.bit_count()
     # cut is _SKIP_MARGIN times the best score, inf before the first. The
-    # checks multiply it by a count rather than divide by one, so nothing
-    # uncovered needs no guard: inf * 0 is NaN, and no weight passes NaN.
+    # checks multiply it by a count rather than divide by one, so an empty
+    # uncovered mask needs no guard: inf * 0 is NaN, and no weight passes it.
     best_ids, best, cut = None, 0.0, math.inf
     for prefix, pm in _tuples_of(prefix_tables):
         wp = sum([sums[c] for c, _ in prefix]) if sums else 0.0
