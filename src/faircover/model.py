@@ -176,9 +176,9 @@ def _weight_gate(system: SetSystem) -> bool:
     ValueError naming the first set whose weight is NaN, since no scan can
     rank a NaN score."""
     weights = system.weights or ()
-    for i, w in enumerate(weights):
-        if math.isnan(w):
-            raise ValueError(f"set {i} has weight NaN")
+    nan = [i for i, w in enumerate(weights) if w != w]
+    if nan:
+        raise ValueError(f"set {nan[0]} has weight NaN")
     return all(map(_positive_weight, weights))
 
 

@@ -189,13 +189,13 @@ def _lightest_cover(split, full: int, weight, best, positive: bool):
     for prefix, pm in _tuples_of(prefix_tables):
         if pm | reach != full:
             continue
-        wp = sum([sums[c] for c, _ in prefix]) if sums else 0.0
+        wp = sum([sums[c] for c, _ in prefix]) if sums is not None else 0.0
         for part in completions:
-            if sums and wp + sums[part[0]] > cut:
+            if sums is not None and wp + sums[part[0]] > cut:
                 break
             if pm | part[1] != full:
                 continue
-            if positive and not sums and sum(map(weight, part[0])) > cut:
+            if positive and sums is None and sum(map(weight, part[0])) > cut:
                 continue
             sel = _ids(prefix + (part,))
             key = (sum(map(weight, sel)), len(sel), sel)

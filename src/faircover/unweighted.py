@@ -139,14 +139,14 @@ def _lightest_candidate(split, uncovered: int, weight, positive: bool) -> tuple[
     # uncovered mask needs no guard: inf * 0 is NaN, and no weight passes it.
     best_ids, best, cut = None, 0.0, math.inf
     for prefix, pm in _tuples_of(prefix_tables):
-        wp = sum([sums[c] for c, _ in prefix]) if sums else 0.0
+        wp = sum([sums[c] for c, _ in prefix]) if sums is not None else 0.0
         for part in completions:
-            if sums:
+            if sums is not None:
                 w = wp + sums[part[0]]
                 if w > cut * spread:
                     break
             new = ((pm | part[1]) & uncovered).bit_count()
-            if new == 0 or sums and w > cut * new:
+            if new == 0 or sums is not None and w > cut * new:
                 continue
             ids = _ids(prefix + (part,))
             score = sum(map(weight, ids)) / new
@@ -158,11 +158,11 @@ def _lightest_candidate(split, uncovered: int, weight, positive: bool) -> tuple[
 def _weighed(split, weight, positive: bool):
     """split as (prefix tables, completions, sums). With positive weights
     and prefix tables, sums maps each combination to its weight, summed
-    once, and the completions come lightest first; otherwise sums is empty
+    once, and the completions come lightest first; otherwise sums is None
     and the completions keep their order."""
     prefix_tables, completions = split
     if not (positive and prefix_tables):
-        return prefix_tables, completions, {}
+        return prefix_tables, completions, None
     sums = {c: sum(map(weight, c)) for table in (*prefix_tables, completions) for c, _ in table}
     return prefix_tables, sorted(completions, key=lambda part: sums[part[0]]), sums
 

@@ -387,6 +387,12 @@ def test_best_candidate_matches_the_reference_on_signed_weights(case, data):
     SetSystem(4, [[], [], [1, 2, 3], [], [], [0, 1, 2, 3], [0, 1, 2], [0, 2, 3], [3], [3], []],
               [0, 1, 0, 1, 1, 0, 0, 1, 0, 0, 1],
               [0.3, 1.0, 0.7, 1.0, 0.7, 1.0, 0.2, 0.2, 0.1, 0.3, 0.7]),
+    # (1, 2, 5) ties (1, 3, 4) at 0.6 / 3 in id order and wins on ids. Its
+    # prefix (1, 5) weighs 0.2 + 0.1, and completion 2 adds 0.3 to a hair
+    # over 0.6, so a round that skipped or stopped without the margin would
+    # lose it once (1, 3, 4) is best.
+    SetSystem(3, [[], [0, 1], [0, 1, 2], [0, 1, 2], [], [], [0, 1], []], [1, 1, 0, 2, 0, 2, 0, 2],
+              [1.0, 0.2, 0.3, 0.3, 0.1, 0.1, 0.3, 1.0]),
 ])
 def test_best_candidate_keeps_near_ties(system):
     remaining = [list(g) for g in system.sets_by_color]

@@ -133,30 +133,43 @@ def test_weighted_allpick_budget_refusal():
 
 
 def test_weighted_allpick_rounds_stop_each_prefix_early(monkeypatch):
-    # The work as a number: on a fixed corpus of two- and three-color
-    # systems with U(1, 5) weights, the rounds build at most 48 id tuples,
-    # where the same skip rule over every tuple in product() order built
-    # 66. Each prefix scans its completions lightest first and stops once
-    # their weight per uncovered element passes the best score by the
-    # margin, and the best is found sooner in that order.
-    built = []
-    real_ids = unweighted._ids
+    # The work as numbers, on a fixed corpus of two- and three-color
+    # systems with U(1, 5) weights. Each prefix scans its completions
+    # lightest first, so the best is found sooner: the rounds build at most
+    # 48 id tuples, where the same skip rule over every tuple in product()
+    # order built 66. And each prefix stops once its completions' weight
+    # per uncovered element passes the best score by the margin: at most
+    # 438 of the rounds' 586 tuples get a coverage test.
+    built, scanned, every = [], [], []
+    real_ids, real_weighed = unweighted._ids, unweighted._weighed
+
+    class Counted(list):
+        def __iter__(self):
+            for part in list.__iter__(self):
+                scanned.append(1)
+                yield part
 
     def ids(parts):
         built.append(1)
         return real_ids(parts)
 
+    def weighed(split, weight, positive):
+        prefix_tables, completions, sums = real_weighed(split, weight, positive)
+        every.append(math.prod(map(len, prefix_tables)) * len(completions))
+        return prefix_tables, Counted(completions), sums
+
     monkeypatch.setattr(unweighted, "_ids", ids)
-    total = 0
+    monkeypatch.setattr(unweighted, "_weighed", weighed)
     for seed in range(6):
         k = 2 + seed % 2
         sys_ = gen_synthetic(10 + seed, 7 if k == 2 else 4, k, ("uniform", 0.3),
                              ("uniform", 1.0, 5.0), seed=seed)
-        built.clear()
+        before = len(built)
         cover = greedy_weighted_allpick(sys_, count_parity(k))
-        assert len(built) >= len(cover.rounds), seed
-        total += len(built)
-    assert total <= 48
+        assert len(built) - before >= len(cover.rounds), seed
+    assert len(built) <= 48
+    assert sum(every) == 586
+    assert len(scanned) <= 438
 
 
 # A NaN weight gives a NaN score, which ranks neither above nor below any
