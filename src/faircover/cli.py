@@ -17,8 +17,6 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .errors import BudgetExceeded, FairCoverError, ParseError
 from .generalized import EpsilonSpec, epsilon_gfsc, gfsc
@@ -232,7 +230,9 @@ def _check_flags(algos, args) -> None:
 
 
 def _run_algorithm(algo: str, system, spec: FairnessSpec, args) -> Cover | None:
-    return _RUNNERS[algo](system, spec, args, np.random.default_rng(args.seed))
+    # The seed, not a Generator: each algorithm builds its Generator from it
+    # (the same stream) only on a path that draws.
+    return _RUNNERS[algo](system, spec, args, args.seed)
 
 
 def _report_record(algo: str, system, spec: FairnessSpec, cover: Cover,

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import PCapExceeded
 from .lp import LpSolver, solve
 from .model import Cover, FairnessSpec, SetSystem, share_counts
-from .unweighted import as_rng, eff_fsc, greedy_allpick
+from .unweighted import eff_fsc, greedy_allpick
 from .weighted import eff_wfsc, greedy_weighted_allpick
 
 MODES = ("exhaustive", "greedy_sub", "lp_sub")
@@ -166,7 +166,6 @@ def epsilon_gfsc(
     exact cover trivially sits inside every band) and auditing the result.
     Any engine approximating the exact problem within factor alpha solves
     the banded problem within (1 + eps) * alpha, which the audit reports."""
-    rng = as_rng(rng)
     cover = gfsc(system, eps_spec.base, mode=mode, rng=rng, lp_solver=lp_solver)
     audit = epsilon_audit(cover, eps_spec, mode=mode, n=system.n)
     return cover, audit

@@ -4,8 +4,9 @@ Two file formats:
 
 JSON (canonical): an object {"n": int, "sets": [[int, ...], ...],
 "colors": [int, ...], "weights": [float, ...] | null, "names":
-{"elements": [...], "sets": [...]} | null}. Matrices small enough to read;
-round trips are byte-stable because keys are sorted and floats use repr.
+{"elements": [...], "sets": [...]} | null}, written on one line with sorted
+keys; round trips are byte-stable because keys are sorted and floats use
+repr. Any layout loads, one value per line included.
 
 CSV binary matrix: header "group,e0,e1,..." or "group,weight,e0,e1,...";
 each following row is one set: its group label, optionally its weight,
@@ -22,6 +23,7 @@ import csv
 import io
 import json
 import math
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -46,12 +48,14 @@ def save_instance(system: SetSystem, path: str | Path, format: str = "json") -> 
     if format == "json":
         payload = {
             "n": system.n,
-            "sets": [list(s) for s in system.sets],
-            "colors": list(system.colors),
-            "weights": None if system.weights is None else list(system.weights),
+            "sets": system.sets,
+            "colors": system.colors,
+            "weights": system.weights,
             "names": None,
         }
-        path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+        # One line: json's C encoder runs only without indent, and it writes
+        # tuples as lists.
+        path.write_text(json.dumps(payload, sort_keys=True) + "\n")
     elif format == "csv":
         _save_csv(system, path)
     else:
@@ -80,6 +84,19 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)  # JSON true is a bool
 
 
+def _all_ints(n, sets, colors) -> bool:
+    """Whether n, every element id and every color is a JSON integer, in
+    one pass of C-level type lookups. False for any other shape, which the
+    caller's per-value loop then explains or refuses."""
+    if type(sets) is not list or type(colors) is not list:
+        return False
+    if not set(map(type, sets)) <= {list}:
+        return False
+    # JSON decodes numbers only as int or float, so an exact type test
+    # keeps bool (an int subclass) out as _is_int does.
+    return {type(n), *map(type, chain.from_iterable(sets)), *map(type, colors)} == {int}
+
+
 def _load_json(path: Path) -> SetSystem:
     try:
         payload = json.loads(_read_text(path))
@@ -94,9 +111,11 @@ def _load_json(path: Path) -> SetSystem:
     if missing:
         raise ParseError(f"missing keys: {sorted(missing)}")
     try:
-        for value in [payload["n"], *(e for s in payload["sets"] for e in s), *payload["colors"]]:
-            if not _is_int(value):
-                raise ParseError(f"{value!r} is not an integer (n, element ids, colors)")
+        if not _all_ints(payload["n"], payload["sets"], payload["colors"]):
+            # Name the first offender: n, then element ids set by set, then colors.
+            for value in [payload["n"], *(e for s in payload["sets"] for e in s), *payload["colors"]]:
+                if not _is_int(value):
+                    raise ParseError(f"{value!r} is not an integer (n, element ids, colors)")
         system = SetSystem(
             n=payload["n"],
             sets=payload["sets"],
@@ -110,7 +129,7 @@ def _load_json(path: Path) -> SetSystem:
     # color id or a mask by n.
     if system.num_colors > system.num_sets:
         raise ParseError(f"color {system.num_colors - 1} is not below the {system.num_sets} sets")
-    listed = len({e for s in system.sets for e in s})
+    listed = len(set(chain.from_iterable(system.sets)))
     if system.n > listed:
         raise ParseError(f"n = {system.n} exceeds the {listed} element ids the sets list")
     return system
@@ -184,13 +203,21 @@ def _load_csv(path: Path) -> SetSystem:
 # -------------------------------------------------------------- generators
 
 
-def _repair(sets: list[list[int]], n: int, rng: np.random.Generator) -> None:
-    """Append every element in [0, n) that no set holds to one random set,
-    in ascending element order, one draw each."""
-    covered = {int(e) for s_ in sets for e in s_}
-    for j in range(n):
-        if j not in covered:
-            sets[int(rng.integers(len(sets)))].append(j)
+def _draw_sets(rng: np.random.Generator, p: np.ndarray, mu: int, n: int) -> list[list[int]]:
+    """mu random subsets of [0, n): element j joins set i when the (i, j)
+    draw of one rng.random((mu, n)) call falls below p[i, j] (p broadcasts
+    to (mu, n)); the array is filled row by row, as mu calls of
+    rng.random(n) would be. Then every element no set holds is appended to
+    one random set, in ascending element order, one draw each, which keeps
+    the instance coverable; the caller makes sure that some set exists when
+    n > 0."""
+    member = rng.random((max(mu, 0), n)) < p
+    flat = np.nonzero(member)[1].tolist()  # row by row, ascending in each
+    ends = np.cumsum(np.count_nonzero(member, axis=1)).tolist()
+    sets = [flat[a:b] for a, b in zip([0, *ends], ends)]
+    for j in np.flatnonzero(~member.any(axis=0)).tolist():
+        sets[int(rng.integers(len(sets)))].append(j)
+    return sets
 
 
 def gen_synthetic(
@@ -222,15 +249,16 @@ def gen_synthetic(
     else:
         raise ValueError(f"unknown coverage distribution {kind!r}")
     mu = m_per_color * k
-    sets = [list(np.flatnonzero(rng.random(n) < p)) for _ in range(mu)]
-    _repair(sets, n, rng)
+    if n > 0 and mu <= 0:
+        raise ValueError(f"m_per_color = {m_per_color} and k = {k} give no sets for {n} elements")
+    sets = _draw_sets(rng, p, mu, n)
     colors = [h for h in range(k) for _ in range(m_per_color)]
     weights = None
     if weight_dist is not None:
         if weight_dist[0] != "uniform":
             raise ValueError(f"unknown weight distribution {weight_dist[0]!r}")
         lo, hi = float(weight_dist[1]), float(weight_dist[2])
-        weights = list(rng.uniform(lo, hi, size=mu))
+        weights = rng.uniform(lo, hi, size=mu).tolist()
     return SetSystem(n, sets, colors, weights)
 
 
@@ -251,9 +279,9 @@ def gen_biased(n: int, m_per_color: int = 8, seed: int | None = None) -> SetSyst
     for h in range(2):
         rich_here = rich0 if h == 0 else rich1
         probs.extend([BIASED_RICH_P] * rich_here + [BIASED_POOR_P] * (m_per_color - rich_here))
-    mu = 2 * m_per_color
-    sets = [list(np.flatnonzero(rng.random(n) < probs[i])) for i in range(mu)]
-    _repair(sets, n, rng)
+    if n > 0 and m_per_color <= 0:
+        raise ValueError(f"m_per_color = {m_per_color} gives no sets for {n} elements")
+    sets = _draw_sets(rng, np.array(probs)[:, None], 2 * m_per_color, n)
     colors = [0] * m_per_color + [1] * m_per_color
     return SetSystem(n, sets, colors)
 

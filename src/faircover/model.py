@@ -84,9 +84,9 @@ class SetSystem:
         colors: Iterable[int],
         weights: Iterable[float] | None = None,
     ):
-        norm_sets = tuple(tuple(sorted({int(e) for e in s})) for s in sets)
-        norm_colors = tuple(int(c) for c in colors)
-        norm_weights = None if weights is None else tuple(float(w) for w in weights)
+        norm_sets = tuple(tuple(sorted(set(map(int, s)))) for s in sets)
+        norm_colors = tuple(map(int, colors))
+        norm_weights = None if weights is None else tuple(map(float, weights))
         if not isinstance(n, int) or n < 0:
             raise ValueError(f"n must be a non-negative integer, got {n!r}")
         if len(norm_colors) != len(norm_sets):
@@ -173,13 +173,16 @@ def _weight_gate(system: SetSystem) -> bool:
     """Whether every weight passes _positive_weight, the one test that lets
     a weight scan (the weight-per-element rounds and the weighted oracle)
     skip a candidate or stop early; each scan asks once per run. Raises
-    ValueError naming the first set whose weight is NaN, since no scan can
-    rank a NaN score."""
+    ValueError naming the first set whose weight is NaN or infinite, since
+    no scan can rank a NaN score, and a tuple holding both infinities
+    scores NaN (inf + -inf), as LpProblem refuses such an objective."""
     weights = system.weights or ()
-    nan = [i for i, w in enumerate(weights) if w != w]
-    if nan:
-        raise ValueError(f"set {nan[0]} has weight NaN")
-    return all(map(_positive_weight, weights))
+    if all(map(_positive_weight, weights)):
+        return True
+    for i, w in enumerate(weights):
+        if not math.isfinite(w):
+            raise ValueError(f"set {i} has weight {'NaN' if w != w else w}")
+    return False
 
 
 @dataclass(frozen=True)

@@ -117,7 +117,8 @@ def fair_multicover_greedy(
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
-    rng = as_rng(rng)
+    if mode == "mkcc_sub":  # exhaustive rounds draw nothing, so build no Generator
+        rng = as_rng(rng)
     system = instance.base
     for j in range(system.n):
         have = len(system.element_sets[j])

@@ -11,9 +11,9 @@ each round count t they take the split of _split, so one pool check and
 one TUPLE_BUDGET over the tables' whole product bound them and the rounds,
 and a refusal comes before any scoring; _tuples_of is the one loop over a
 product of tables; the weighted scan asks model._weight_gate once, which
-refuses a NaN weight, skips by the one margin, _SKIP_MARGIN, only when
-every weight is positive, and takes its weight sums and lightest-first
-completions from _weighed, as the rounds do.
+refuses a NaN or infinite weight, skips by the one margin, _SKIP_MARGIN,
+only when every weight is positive, and takes its weight sums and
+lightest-first completions from _weighed, as the rounds do.
 
 The largest table at t, of C combinations, holds the completions; the
 product of the other tables, P selections, holds the prefixes. Work per t:
@@ -101,10 +101,10 @@ def opt_fair_cover(
     spec.p sets, so the scan walks t = 1, 2, ... rounds and stops at the
     first t admitting a cover). Weighted: minimum total weight over all
     feasible t, since more but lighter sets can beat a small cover, and
-    ValueError is raised for a NaN weight (model._weight_gate). When every
-    weight is positive (model._weight_gate again), the scan stops at
-    the first t whose lower bound (the t * p_h lightest sets of each color
-    h) passes the best weight by more than _SKIP_MARGIN, which keeps the
+    ValueError is raised for a NaN or infinite weight (model._weight_gate).
+    When every weight is positive (model._weight_gate again), the scan
+    stops at the first t whose lower bound (the t * p_h lightest sets of
+    each color h) passes the best weight by more than _SKIP_MARGIN, which keeps the
     (weight, size, selection) tie-break intact under any summation order.
     Each t is scanned as _least_cover or _lightest_cover says.
     """
@@ -218,7 +218,7 @@ def opt_mkcc(
     cover nothing are skipped, and AllTuplesZeroCoverage is raised when no
     tuple covers a new element. Returns (ids ascending, objective value);
     ties prefer the lexicographically smallest tuple. With weighted_ratio,
-    a NaN weight raises ValueError (model._weight_gate).
+    a NaN or infinite weight raises ValueError (model._weight_gate).
     """
     unc = mask_of(uncovered, system.n)
     split = _split(system.masks, remaining_sets, per_round)

@@ -11,10 +11,10 @@ tuple is a prefix plus a completion; a scan ORs each prefix's mask once,
 then tests the completions against it. A one-set scan is a split with no
 prefix table. _best_candidate takes the argmax of new coverage and
 _lightest_candidate the argmin of weight per new element. A weight scan
-asks model._weight_gate once per run, which refuses a NaN weight; only
-when every weight is positive may it skip a candidate or stop a prefix
-early, and then it sums each combination's weight once and scans the
-completions lightest first (_weighed).
+asks model._weight_gate once per run, which refuses a NaN or infinite
+weight; only when every weight is positive may it skip a candidate or stop
+a prefix early, and then it sums each combination's weight once and scans
+the completions lightest first (_weighed).
 
 Determinism contract: all ties break toward the smallest set index (for
 single picks) or the lexicographically smallest sorted id tuple (for round
@@ -402,7 +402,8 @@ def eff_fsc(
     run stops with NoProgress rather than looping forever."""
     if subroutine not in ("greedy", "lp"):
         raise ValueError(f"unknown subroutine {subroutine!r}")
-    rng = as_rng(rng)
+    if subroutine == "lp":  # greedy rounds draw nothing, so build no Generator
+        rng = as_rng(rng)
 
     def pick(state: GreedyState) -> tuple[int, ...]:
         if subroutine == "greedy":

@@ -76,8 +76,8 @@ def naive_wfsc(system: SetSystem, spec: FairnessSpec) -> Cover:
     element; padding then fills each group's quota with its cheapest
     unpicked sets. Guarantee: k * delta * (ln n + 1) times the optimal
     quota-respecting weight, delta being the weight spread. Raises
-    ZeroFractionViolated as naive_fsc does, and ValueError for a NaN
-    weight (model._weight_gate)."""
+    ZeroFractionViolated as naive_fsc does, and ValueError for a NaN or
+    infinite weight (model._weight_gate)."""
     positive = _weight_gate(system)
     sets = ([], _singletons(system))
 
@@ -95,8 +95,8 @@ def greedy_weighted_allpick(system: SetSystem, spec: FairnessSpec) -> Cover:
     Rounds enumerate every quota tuple, skip those covering nothing new,
     and commit the cheapest per new element (ties to the lexicographically
     smallest tuple). Guarantee: delta * (ln n + 1) times the optimal
-    quota-respecting weight. Raises ValueError for a NaN weight
-    (model._weight_gate)."""
+    quota-respecting weight. Raises ValueError for a NaN or infinite
+    weight (model._weight_gate)."""
     positive = _weight_gate(system)
 
     def pick(state: GreedyState) -> tuple[int, ...] | None:

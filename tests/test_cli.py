@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from faircover import cli
@@ -51,6 +52,16 @@ def test_solve_json_record(capsys, inst_path):
     assert record["fairness_ratio"] == 1.0
     assert record["per_group_counts"] == [1, 1]
     assert record["selected"] == [0, 2]
+
+
+def test_deterministic_algorithms_build_no_generator(capsys, inst_path, monkeypatch):
+    # The CLI hands each algorithm the seed, and only a path that draws
+    # turns it into a Generator.
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("built a Generator"))
+    for algo in ("eff-greedy", "multicover", "gfsc"):
+        code, _, _ = run(capsys, "solve", "--algo", algo, "--instance", str(inst_path),
+                         "--seed", "3")
+        assert code == 0, algo
 
 
 def test_solve_csv_shape(capsys, inst_path):

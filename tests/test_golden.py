@@ -1,5 +1,5 @@
 """Golden results: every pinned cover, pivot count and oracle answer, run
-from one table and checked against the three files under tests/golden.
+from one table and checked against the four files under tests/golden.
 
 - c01_covers.json: the covers of all seven criterion-01 algorithms on
   every fifth of criterion 01's 200 instances;
@@ -7,7 +7,10 @@ from one table and checked against the three files under tests/golden.
   their lp._pivot calls and cold lp._optimize solves in the same run;
 - pins.json: plain greedy, the weighted greedy variants and multicover's
   sampled mode with its price ledger on those instances and on 24
-  oracle-sized ones, and every exact oracle on the oracle-sized ones.
+  oracle-sized ones, and every exact oracle on the oracle-sized ones;
+- instances.json: a digest of every instance above and of a small table
+  of generator calls, so a shifted random stream shows as moved
+  instances rather than as unexplained cover moves.
 
 The oracle-sized instances mirror the benchmark's oracle-ratio workload
 (n 8..12, 8 sets per color), plus a three-color kind and an uneven
@@ -15,12 +18,13 @@ The oracle-sized instances mirror the benchmark's oracle-ratio workload
 
 A change that keeps behaviour (a refactor, a faster kernel on the same
 pivot path) must leave every result as recorded. A change that moves
-results on purpose re-records all three files, which prints how many
+results on purpose re-records all four files, which prints how many
 results moved in each, and says how many and why:
 
     PYTHONPATH=src python tests/test_golden.py --record
 """
 
+import hashlib
 import json
 import sys
 from contextlib import contextmanager, nullcontext
@@ -30,7 +34,7 @@ from pathlib import Path
 from faircover import lp
 from faircover.errors import FairCoverError
 from faircover.generalized import gfsc
-from faircover.io_generators import gen_synthetic
+from faircover.io_generators import gen_biased, gen_synthetic
 from faircover.model import FairnessSpec, count_parity
 from faircover.multicover import MulticoverInstance, fair_multicover_greedy
 from faircover.oracles import opt_fair_cover, opt_fair_multicover, opt_mkcc, opt_set_cover
@@ -41,7 +45,12 @@ from support import c01_instance
 
 GOLDEN = Path(__file__).parent / "golden"
 # Each file's instance label, from the instance's kind and index.
-FILES = {"c01_covers.json": "{idx}", "c01_pivots.json": "{idx}", "pins.json": "{kind}-{idx}"}
+FILES = {
+    "c01_covers.json": "{idx}",
+    "c01_pivots.json": "{idx}",
+    "pins.json": "{kind}-{idx}",
+    "instances.json": "{kind}-{idx}",
+}
 C01 = range(0, 200, 5)
 INSTANCES = [("c01", idx) for idx in C01] + [("oracle", idx) for idx in range(24)]
 
@@ -58,6 +67,34 @@ def oracle_instance(idx):
         return sys_, count_parity(3)
     sys_ = gen_synthetic(n, 8, 2, ("uniform", 0.35), weights, seed=idx)
     return sys_, count_parity(2) if kind == 0 else FairnessSpec(["1/4", "3/4"])
+
+
+# Generator calls pinned beside the corpus instances: both membership
+# laws, with and without weights, the biased preset below and above its
+# dominance, and empty universes.
+GENERATED = {
+    "gen_synthetic(12, 3, 2, uniform)": lambda: gen_synthetic(12, 3, 2, seed=1),
+    "gen_synthetic(12, 3, 2, uniform, weighted)": lambda: gen_synthetic(
+        12, 3, 2, weight_dist=("uniform", 1.0, 4.0), seed=2
+    ),
+    "gen_synthetic(30, 4, 3, zipf)": lambda: gen_synthetic(30, 4, 3, ("zipf", 0.8), seed=3),
+    "gen_synthetic(30, 4, 3, zipf, weighted)": lambda: gen_synthetic(
+        30, 4, 3, ("zipf", 1.2), ("uniform", 0.5, 3.0), seed=4
+    ),
+    "gen_synthetic(0, 2, 2, uniform, weighted)": lambda: gen_synthetic(
+        0, 2, 2, weight_dist=("uniform", 1.0, 2.0), seed=5
+    ),
+    "gen_biased(25, 8)": lambda: gen_biased(25, 8, seed=6),
+    "gen_biased(18, 3)": lambda: gen_biased(18, 3, seed=7),
+    "gen_biased(0, 2)": lambda: gen_biased(0, 2, seed=8),
+}
+
+
+def digest(system):
+    """A short hash of an instance's n, sets, colors and weights (floats by
+    repr, so equal digests mean equal instances)."""
+    text = json.dumps([system.n, system.sets, system.colors, system.weights])
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 @contextmanager
@@ -171,6 +208,8 @@ def results():
         def put(file, name, result):
             out[file].setdefault(FILES[file].format(kind=kind, idx=idx), {})[name] = result
 
+        put("instances.json", "digest", digest(sys_))
+
         for (file, kinds), runs in RUNS.items():
             if kind not in kinds:
                 continue
@@ -179,6 +218,8 @@ def results():
                     put(file, name, _pin(run, sys_, spec, idx))
                 if name in LP_RUNS:
                     put("c01_pivots.json", name, [counts["_pivot"], counts["_optimize"]])
+    for label, make in GENERATED.items():
+        out["instances.json"][label] = {"digest": digest(make())}
     return out
 
 
@@ -218,6 +259,10 @@ def test_covers_match_golden_corpus():
 
 def test_pivot_counts_match_golden_pins():
     assert_unmoved("c01_pivots.json")
+
+
+def test_instances_match_golden_digests():
+    assert_unmoved("instances.json")
 
 
 def test_the_recorder_rewrites_each_golden_file_unchanged():

@@ -1,5 +1,7 @@
 """Serialization round trips, parse failures, and the seeded generators."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,6 +44,49 @@ def test_json_bytes_are_stable(tmp_path):
     save_instance(system, a)
     save_instance(load_instance(a), b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_json_is_one_sorted_line(tmp_path):
+    path = tmp_path / "a.json"
+    save_instance(sample_system(weighted=True), path)
+    assert path.read_text() == (
+        '{"colors": [0, 0, 1, 1], "n": 4, "names": null, '
+        '"sets": [[0, 1], [2], [2, 3], [0, 3]], "weights": [1.5, 2.0, 0.25, 3.0]}\n'
+    )
+
+
+def test_indented_json_still_loads(tmp_path):
+    # Files were written with indent=1, one value per line, before the
+    # one-line layout.
+    for weighted in (False, True):
+        system = sample_system(weighted)
+        payload = {"n": system.n, "sets": system.sets, "colors": system.colors,
+                   "weights": system.weights, "names": None}
+        path = tmp_path / f"indented{weighted}.json"
+        path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+        assert load_instance(path) == system
+
+
+@pytest.mark.parametrize(
+    "data, first",
+    [
+        (b'{"n": 1.5, "sets": [[true]], "colors": [0.5]}', "1.5"),
+        (b'{"n": 2, "sets": [[0, 1], [false, 0.5]], "colors": ["0"]}', "False"),
+        (b'{"n": 2, "sets": [[0, 1], [1, 0.5]], "colors": [null]}', "0.5"),
+        (b'{"n": 2, "sets": [[0, 1]], "colors": [0, "1"]}', "'1'"),
+        (b'{"n": 2, "sets": ["ab"], "colors": [0]}', "'a'"),
+        (b'{"n": 2, "sets": {"01": 1}, "colors": [0]}', "'0'"),
+    ],
+    ids=["n", "element-bool", "element-float", "color-string", "set-string", "sets-object"],
+)
+def test_json_names_the_first_non_integer(tmp_path, data, first):
+    # The order is n, then element ids set by set, then colors; a string
+    # or object where a list belongs is read as its characters or keys.
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as err:
+        load_instance(path)
+    assert str(err.value) == f"{first} is not an integer (n, element ids, colors)"
 
 
 def test_json_parse_errors(tmp_path):
@@ -313,6 +358,19 @@ def test_synthetic_rejects_unknown_distributions():
         gen_synthetic(5, 2, 2, coverage_dist=("gauss", 0.3))
     with pytest.raises(ValueError):
         gen_synthetic(5, 2, 2, weight_dist=("pareto", 1, 2))
+
+
+def test_generators_without_sets_name_m_per_color():
+    with pytest.raises(ValueError, match="^m_per_color = 0 and k = 2 give no sets for 5 elements$"):
+        gen_synthetic(5, 0, 2)
+    with pytest.raises(ValueError, match="^m_per_color = 3 and k = 0 give no sets for 5 elements$"):
+        gen_synthetic(5, 3, 0)
+    with pytest.raises(ValueError, match="^m_per_color = 0 gives no sets for 5 elements$"):
+        gen_biased(5, 0)
+    # An empty universe needs no set.
+    assert gen_synthetic(0, 0, 2, seed=1) == SetSystem(0, [], [])
+    assert gen_biased(0, 0, seed=1) == SetSystem(0, [], [])
+    assert gen_synthetic(0, 2, 2, seed=1) == SetSystem(0, [[]] * 4, [0, 0, 1, 1])
 
 
 def test_biased_preset_shape():

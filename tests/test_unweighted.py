@@ -3,6 +3,7 @@
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from faircover import unweighted
@@ -14,6 +15,7 @@ from faircover.errors import (
     NoProgress,
     ZeroFractionViolated,
 )
+from faircover.generalized import EpsilonSpec, epsilon_gfsc, gfsc
 from faircover.io_generators import gen_synthetic
 from faircover.lp import LpProblem, LpSolution, build_mkcc_lp, solve
 from faircover.model import FairnessSpec, SetSystem, count_parity, fairness_report
@@ -390,3 +392,28 @@ def zero_share_multicover():
 def test_stuck_round_loops_raise_their_typed_error(run, error):
     with pytest.raises(error):
         run()
+
+
+def test_deterministic_runs_build_no_generator(monkeypatch):
+    # Runs that draw nothing give the same cover for any rng, so building a
+    # Generator for them (with rng=None, from OS entropy) is waste.
+    system = square_system()
+    expected = eff_fsc(system, SPEC2, subroutine="greedy", rng=0).rounds
+    multicover = MulticoverInstance(system, [1] * system.n)
+
+    def refuse(*args):
+        pytest.fail("a run that draws nothing built a Generator")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    for rng in (None, 0):
+        assert eff_fsc(system, SPEC2, subroutine="greedy", rng=rng).rounds == expected
+        assert gfsc(system, SPEC2, mode="greedy_sub", rng=rng).rounds == expected
+        band = EpsilonSpec(SPEC2, "1/2")
+        assert epsilon_gfsc(system, band, mode="greedy_sub", rng=rng)[0].rounds == expected
+        assert epsilon_gfsc(system, band, rng=rng)[0].rounds == greedy_allpick(system, SPEC2).rounds
+        assert fair_multicover_greedy(multicover, SPEC2, rng=rng)[0].rounds
+    # The sampled paths still build one from the seed.
+    with pytest.raises(pytest.fail.Exception):
+        eff_fsc(system, SPEC2, subroutine="lp", rng=0)
+    with pytest.raises(pytest.fail.Exception):
+        fair_multicover_greedy(multicover, SPEC2, mode="mkcc_sub", rng=0)

@@ -173,24 +173,51 @@ def test_weighted_allpick_rounds_stop_each_prefix_early(monkeypatch):
 
 
 # A NaN weight gives a NaN score, which ranks neither above nor below any
-# other, so the winner would hang on scan order.
+# other, so the winner would hang on scan order; so does a tuple holding
+# both an infinite and a negatively infinite weight (inf + -inf is NaN).
 NAN_WEIGHT = SetSystem(2, [[], [], [0], [1]], [0, 1, 1, 0], [1.5, 1.0, 2.0, math.nan])
+# Each system with a non-finite weight, the test id suffix of its rows, and
+# the set the weight scans name.
+NON_FINITE = [
+    (NAN_WEIGHT, "", "set 3 has weight NaN"),
+    (SetSystem(2, [[], [], [0], [1]], [0, 1, 1, 0], [1.5, 1.0, 2.0, math.inf]), "-inf",
+     "set 3 has weight inf"),
+    (SetSystem(2, [[], [], [0], [1]], [0, 1, 1, 0], [1.5, 1.0, -math.inf, 1.0]), "-neginf",
+     "set 2 has weight -inf"),
+]
+SCANS = {
+    "naive_wfsc": lambda s: naive_wfsc(s, SPEC2),
+    "greedy_weighted_allpick": lambda s: greedy_weighted_allpick(s, SPEC2),
+    "gfwsc-exhaustive": lambda s: gfwsc(s, SPEC2, mode="exhaustive"),
+    "opt_fair_cover": lambda s: opt_fair_cover(s, SPEC2, weighted=True),
+    "opt_mkcc": lambda s: opt_mkcc(s, [0, 1], s.sets_by_color, (1, 1), weighted_ratio=True),
+}
+LP_RUNS = {
+    "eff_wfsc": lambda s: eff_wfsc(s, SPEC2, rng=0),
+    "gfwsc-lp_sub": lambda s: gfwsc(s, SPEC2, mode="lp_sub", rng=0),
+}
 
 
-@pytest.mark.parametrize("run, message", [
-    (lambda s: naive_wfsc(s, SPEC2), "^set 3 has weight NaN$"),
-    (lambda s: greedy_weighted_allpick(s, SPEC2), "^set 3 has weight NaN$"),
-    (lambda s: gfwsc(s, SPEC2, mode="exhaustive"), "^set 3 has weight NaN$"),
-    (lambda s: opt_fair_cover(s, SPEC2, weighted=True), "^set 3 has weight NaN$"),
-    (lambda s: opt_mkcc(s, [0, 1], s.sets_by_color, (1, 1), weighted_ratio=True),
-     "^set 3 has weight NaN$"),
-    (lambda s: eff_wfsc(s, SPEC2, rng=0), "^objective entries must be finite$"),
-    (lambda s: gfwsc(s, SPEC2, mode="lp_sub", rng=0), "^objective entries must be finite$"),
-], ids=["naive_wfsc", "greedy_weighted_allpick", "gfwsc-exhaustive", "opt_fair_cover",
-        "opt_mkcc", "eff_wfsc", "gfwsc-lp_sub"])
-def test_every_weight_scan_refuses_a_nan_weight(run, message):
+@pytest.mark.parametrize("system, run, message", [
+    pytest.param(system, run, f"^{named}$", id=name + suffix)
+    for system, suffix, named in NON_FINITE
+    for name, run in SCANS.items()
+] + [
+    pytest.param(system, run, "^objective entries must be finite$", id=name + suffix)
+    for system, suffix, _ in NON_FINITE
+    for name, run in LP_RUNS.items()
+])
+def test_every_weight_scan_refuses_a_nan_weight(system, run, message):
     with pytest.raises(ValueError, match=message):
-        run(NAN_WEIGHT)
+        run(system)
+
+
+def test_a_tuple_of_both_infinities_is_refused_not_ranked():
+    # (0, 2) weighs inf + -inf = NaN and is scanned first; a NaN score is
+    # never displaced, so without the gate the round would return it.
+    sys_ = SetSystem(2, [[0], [0, 1], [1], [1]], [0, 0, 1, 1], [math.inf, 1.0, -math.inf, 1.0])
+    with pytest.raises(ValueError, match="^set 0 has weight inf$"):
+        opt_mkcc(sys_, [0, 1], sys_.sets_by_color, (1, 1), weighted_ratio=True)
 
 
 # ----------------------------------------------------------- sweep ingredients
