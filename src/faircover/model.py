@@ -173,9 +173,9 @@ def _weight_gate(system: SetSystem) -> bool:
     """Whether every weight passes _positive_weight, the one test that lets
     a weight scan (the weight-per-element rounds and the weighted oracle)
     skip a candidate or stop early; each scan asks once per run. Raises
-    ValueError naming the first set whose weight is NaN or infinite, since
-    no scan can rank a NaN score, and a tuple holding both infinities
-    scores NaN (inf + -inf), as LpProblem refuses such an objective."""
+    ValueError naming the first set whose weight is NaN or infinite: no
+    scan can rank a NaN score, a tuple holding both infinities scores NaN
+    (inf + -inf), and LpProblem refuses such weights too."""
     weights = system.weights or ()
     if all(map(_positive_weight, weights)):
         return True

@@ -104,8 +104,9 @@ def opt_fair_cover(
     ValueError is raised for a NaN or infinite weight (model._weight_gate).
     When every weight is positive (model._weight_gate again), the scan
     stops at the first t whose lower bound (the t * p_h lightest sets of
-    each color h) passes the best weight by more than _SKIP_MARGIN, which keeps the
-    (weight, size, selection) tie-break intact under any summation order.
+    each color h) passes the best weight by more than _SKIP_MARGIN, which
+    keeps the (weight, size, selection) tie-break intact under any
+    summation order.
     Each t is scanned as _least_cover or _lightest_cover says.
     """
     mu = system.num_sets
