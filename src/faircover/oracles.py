@@ -9,11 +9,12 @@ answered before any scan.
 The quota oracles share the exhaustive rounds' rules in unweighted: at
 each round count t they take the split of _split, so one pool check and
 one TUPLE_BUDGET over the tables' whole product bound them and the rounds,
-and a refusal comes before any scoring; _tuples_of is the one loop over a
-product of tables; the weighted scan asks model._weight_gate once, which
-refuses a NaN or infinite weight, skips by the one margin, _SKIP_MARGIN,
-only when every weight is positive, and takes its weight sums and
-lightest-first completions from _weighed, as the rounds do.
+and a refusal comes before any row is built; _tuples_of is the one loop
+over a product of tables; the weighted scan asks model._weight_gate once
+(_scan_weights), which refuses a NaN or infinite weight, and skips by the
+one margin, _SKIP_MARGIN, only when every weight is positive. Then each
+row carries its combination's weight and the completions come lightest
+first (_weighed), as in the rounds.
 
 The largest table at t, of C combinations, holds the completions; the
 product of the other tables, P selections, holds the prefixes. Work per t:
@@ -22,14 +23,17 @@ product of the other tables, P selections, holds the prefixes. Work per t:
   Colors own disjoint ids, so a prefix's first full completion in
   combinations() order has the least ids of its covers; the scan of that
   prefix stops there.
-- opt_fair_cover(weighted=True), with positive weights and two or more
+- opt_fair_cover(weighted=True), with positive weights: each color's
+  table of c ids, while c is at most half its pool, grows one id at a
+  time from its table at t - 1, with one OR and one add per row (larger
+  ones are built directly), so each size is built once per call. With two or more
   colors of positive share: one sort of the C completions by weight, then
   each prefix scans them lightest first and stops once prefix plus
   completion weight passes the best cover's by the margin. At most P * C
   mask tests; only full covers within the margin are weighed, in
   ascending id order. With one such color, the C completions are scanned
-  in combinations() order and full ones past the margin are dropped
-  unweighed; with other weights, every full cover is weighed.
+  in combinations() order and ones past the margin are dropped unweighed;
+  with other weights, every full cover is weighed.
 - opt_fair_multicover: at most P * C demand tests, each adding one
   completion to coverage levels computed once per prefix, and one id
   tuple per prefix: its first completion meeting every demand.
@@ -47,9 +51,9 @@ from itertools import accumulate, combinations
 from typing import Sequence
 
 from .errors import AllTuplesZeroCoverage, BudgetExceeded, NoProgress
-from .model import Cover, FairnessSpec, SetSystem, _weight_gate, mask_of, union_of
-from .unweighted import (_SKIP_MARGIN, _best_candidate, _ids, _lightest_candidate, _split,
-                         _tuples_of, _weighed)
+from .model import Cover, FairnessSpec, SetSystem, mask_of, union_of
+from .unweighted import (_SKIP_MARGIN, _best_candidate, _ids, _lightest_candidate,
+                         _scan_weights, _split, _tuples_of, _weighed)
 
 MAX_SETS_EXACT = 22
 MAX_SETS_EXACT_MULTI = 20
@@ -114,13 +118,18 @@ def opt_fair_cover(
         raise BudgetExceeded(f"{mu} sets exceeds exact budget {MAX_SETS_EXACT}")
     full = (1 << system.n) - 1
     best: tuple | None = None  # (weight, size, selection) for weighted mode
-    # lightest[h][c]: the weight of the c lightest sets of color h. The
-    # bound grows with t only when every weight is positive, so other
-    # weights scan every t.
-    lightest = None
+    # weights: the one weight sequence of a run whose weights are all
+    # positive; the rows carry it, the bound reads it and every cover is
+    # weighed by it. The bound grows with t only then, so other weights
+    # scan every t, weighed by system.weight.
+    # lightest[h][c]: the weight of the c lightest sets of color h.
+    # latest: each color's last rows, which the next t grows from.
+    weights = lightest = latest = None
+    weight = system.weight
     if weighted:
-        weights = [system.weight(i) for i in range(mu)]
-        if _weight_gate(system):
+        weights = _scan_weights(system)
+        if weights is not None:
+            weight, latest = weights.__getitem__, [None] * len(system.sets_by_color)
             lightest = [
                 list(accumulate(sorted(weights[i] for i in g), initial=0.0))
                 for g in system.sets_by_color
@@ -131,13 +140,14 @@ def opt_fair_cover(
             bound = sum(lightest[h][t * p] for h, p in enumerate(spec.per_round) if p > 0)
             if bound > best[0] * _SKIP_MARGIN:
                 break
-        split = _split(system.masks, system.sets_by_color, [t * p for p in spec.per_round])
+        counts = [t * p for p in spec.per_round]
         if not weighted:
-            found = _least_cover(split, full)
+            found = _least_cover(_split(system.masks, system.sets_by_color, counts), full)
             if found is not None:
                 return Cover.from_selection(system, found)
             continue
-        best = _lightest_cover(split, full, weights.__getitem__, best, lightest is not None)
+        split = _split(system.masks, system.sets_by_color, counts, weights, latest)
+        best = _lightest_cover(split, full, weight, best)
     if best is not None:
         return Cover.from_selection(system, best[2])
     return None
@@ -153,10 +163,10 @@ def _least_cover(split, full: int) -> tuple[int, ...] | None:
     alone are built: at most one id tuple per prefix."""
     prefix_tables, completions = split
     reach = 0  # the elements some completion covers
-    for _, m in completions:
-        reach |= m
+    for part in completions:
+        reach |= part[1]
     found = None
-    for prefix, pm in _tuples_of(prefix_tables):
+    for prefix, pm, _ in _tuples_of(prefix_tables):
         if pm | reach != full:
             continue
         for part in completions:
@@ -168,35 +178,36 @@ def _least_cover(split, full: int) -> tuple[int, ...] | None:
     return found
 
 
-def _lightest_cover(split, full: int, weight, best, positive: bool):
+def _lightest_cover(split, full: int, weight, best):
     """best, or a smaller (weight, size, ids) key of a full cover made of
     one prefix and one completion, its weight summed in ascending id order.
 
-    With positive weights, a cover whose weight summed part by part passes
-    best's by more than _SKIP_MARGIN is dropped unweighed. Given prefix
-    tables, each combination's weight is summed once and the completions
-    are sorted by weight (_weighed, as in the rounds); each prefix scans
-    them lightest first and stops at the first one dropped; best includes
-    the prefix's first full completion once it is weighed. With a single prefix, the completions
-    are scanned in combinations() order and a full one is dropped on its
-    own weight. Other weights weigh every full cover. Every cover kept is
-    weighed, so ties break as in a scan of every selection."""
-    prefix_tables, completions, sums = _weighed(split, weight, positive)
+    Rows carry weights only when every weight is positive (see _split).
+    Then a cover whose weight summed row by row passes best's by more than
+    _SKIP_MARGIN is dropped unweighed. Given prefix tables, the
+    completions are sorted by weight (_weighed, as in the rounds); each
+    prefix scans them lightest first and stops at the first one dropped;
+    best includes the prefix's first full completion once it is weighed.
+    With a single prefix, the completions are scanned in combinations()
+    order and each is dropped on its own weight. Rows without weights
+    weigh every full cover. Every cover kept is weighed, so ties break as
+    in a scan of every selection."""
+    prefix_tables, completions = _weighed(split)
+    skips = len(completions[0]) > 2
     reach = 0
-    for _, m in completions:
-        reach |= m
-    # cut is read only with positive weights.
+    for part in completions:
+        reach |= part[1]
+    # cut is read only when rows carry weights.
     cut = math.inf if best is None else best[0] * _SKIP_MARGIN
-    for prefix, pm in _tuples_of(prefix_tables):
+    for prefix, pm, wp in _tuples_of(prefix_tables):
         if pm | reach != full:
             continue
-        wp = sum([sums[c] for c, _ in prefix]) if sums is not None else 0.0
         for part in completions:
-            if sums is not None and wp + sums[part[0]] > cut:
-                break
-            if pm | part[1] != full:
+            if skips and wp + part[2] > cut:
+                if prefix_tables:
+                    break
                 continue
-            if positive and sums is None and sum(map(weight, part[0])) > cut:
+            if pm | part[1] != full:
                 continue
             sel = _ids(prefix + (part,))
             key = (sum(map(weight, sel)), len(sel), sel)
@@ -222,8 +233,9 @@ def opt_mkcc(
     a NaN or infinite weight raises ValueError (model._weight_gate).
     """
     unc = mask_of(uncovered, system.n)
-    split = _split(system.masks, remaining_sets, per_round)
-    ids = (_lightest_candidate(split, unc, system.weight, _weight_gate(system)) if weighted_ratio
+    weights = _scan_weights(system) if weighted_ratio else None
+    split = _split(system.masks, remaining_sets, per_round, weights)
+    ids = (_lightest_candidate(split, unc, system.weight) if weighted_ratio
            else _best_candidate(split, unc))
     if ids is None:
         raise AllTuplesZeroCoverage("no tuple with positive coverage exists")
@@ -254,8 +266,8 @@ def opt_fair_multicover(instance, spec: FairnessSpec) -> Cover | None:
         found: tuple[int, ...] | None = None
         # As in _least_cover, each prefix's first completion meeting every
         # demand has the least ids of its selections that do.
-        for prefix, _ in _tuples_of(prefix_tables):
-            base = _levels(masks, [i for combo, _ in prefix for i in combo], [0] * len(wants))
+        for prefix, _, _ in _tuples_of(prefix_tables):
+            base = _levels(masks, [i for part in prefix for i in part[0]], [0] * len(wants))
             for part in completions:
                 got = _levels(masks, part[0], base)
                 if all(g & w == w for g, w in zip(got, wants)):

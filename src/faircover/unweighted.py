@@ -11,10 +11,11 @@ tuple is a prefix plus a completion; a scan ORs each prefix's mask once,
 then tests the completions against it. A one-set scan is a split with no
 prefix table. _best_candidate takes the argmax of new coverage and
 _lightest_candidate the argmin of weight per new element. A weight scan
-asks model._weight_gate once per run, which refuses a NaN or infinite
-weight; only when every weight is positive may it skip a candidate or stop
-a prefix early, and then it sums each combination's weight once and scans
-the completions lightest first (_weighed).
+asks model._weight_gate once per run (_scan_weights), which refuses a NaN
+or infinite weight; only when every weight is positive may it skip a
+candidate or stop a prefix early, and then each row of its tables carries
+its combination's weight, summed as the row is built, and it scans the
+completions lightest first (_weighed).
 
 Determinism contract: all ties break toward the smallest set index (for
 single picks) or the lexicographically smallest sorted id tuple (for round
@@ -27,14 +28,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations, product
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
 
 from .errors import BudgetExceeded, NoProgress, NumericalFailure
 from .lp import LpSolver, build_mkcc_lp, round_laws, solve
-from .model import (Cover, FairnessSpec, SetSystem, check_pools, elements_of, quota_counts,
-                    union_of)
+from .model import (Cover, FairnessSpec, SetSystem, _weight_gate, check_pools, elements_of,
+                    quota_counts, union_of)
 
 # Refuse any quota-tuple enumeration (exhaustive rounds and the oracles)
 # with more candidate tuples than this.
@@ -109,7 +111,7 @@ def _best_candidate(split, uncovered: int) -> tuple[int, ...] | None:
     much as the best so far."""
     prefix_tables, completions = split
     best_ids, best = None, 0
-    for prefix, pm in _tuples_of(prefix_tables):
+    for prefix, pm, _ in _tuples_of(prefix_tables):
         for part in completions:
             new = ((pm | part[1]) & uncovered).bit_count()
             if new == 0 or new < best:
@@ -120,33 +122,34 @@ def _best_candidate(split, uncovered: int) -> tuple[int, ...] | None:
     return best_ids
 
 
-def _lightest_candidate(split, uncovered: int, weight, positive: bool) -> tuple[int, ...] | None:
+def _lightest_candidate(split, uncovered: int, weight) -> tuple[int, ...] | None:
     """The ids of the tuple of split with the least total weight (summed
     in ascending id order) per newly covered element of uncovered; ties go
     to the smallest ids, and None means no tuple covers a new element.
 
-    positive is _weight_gate's answer for the run. Given it and prefix
-    tables, each prefix scans the completions lightest first (_weighed): a
-    tuple whose weight, summed combination by combination, is more than
-    _SKIP_MARGIN times the best score per new element is skipped unweighed,
-    and the scan of a prefix stops once that weight per uncovered element
-    passes the margin, since no later completion can score better. Every
-    other tuple that covers a new element is weighed."""
-    prefix_tables, completions, sums = _weighed(split, weight, positive)
+    Given prefix tables whose rows carry weights (see _split; a run's rows
+    do only when every weight is positive), each prefix scans the
+    completions lightest first (_weighed): a tuple whose weight, summed
+    row by row, is more than _SKIP_MARGIN times the best score per new
+    element is skipped unweighed, and the scan of a prefix stops once that
+    weight per uncovered element passes the margin, since no later
+    completion can score better. Every other tuple that covers a new
+    element is weighed."""
+    prefix_tables, completions = _weighed(split)
+    skips = bool(prefix_tables) and len(completions[0]) > 2
     spread = uncovered.bit_count()
     # cut is _SKIP_MARGIN times the best score, inf before the first. The
     # checks multiply it by a count rather than divide by one, so an empty
     # uncovered mask needs no guard: inf * 0 is NaN, and no weight passes it.
     best_ids, best, cut = None, 0.0, math.inf
-    for prefix, pm in _tuples_of(prefix_tables):
-        wp = sum([sums[c] for c, _ in prefix]) if sums is not None else 0.0
+    for prefix, pm, wp in _tuples_of(prefix_tables):
         for part in completions:
-            if sums is not None:
-                w = wp + sums[part[0]]
+            if skips:
+                w = wp + part[2]
                 if w > cut * spread:
                     break
             new = ((pm | part[1]) & uncovered).bit_count()
-            if new == 0 or sums is not None and w > cut * new:
+            if new == 0 or skips and w > cut * new:
                 continue
             ids = _ids(prefix + (part,))
             score = sum(map(weight, ids)) / new
@@ -155,16 +158,24 @@ def _lightest_candidate(split, uncovered: int, weight, positive: bool) -> tuple[
     return best_ids
 
 
-def _weighed(split, weight, positive: bool):
-    """split as (prefix tables, completions, sums). With positive weights
-    and prefix tables, sums maps each combination to its weight, summed
-    once, and the completions come lightest first; otherwise sums is None
-    and the completions keep their order."""
+def _weighed(split):
+    """split with its completions lightest first when its rows carry
+    weights and it has prefix tables; otherwise split as it is. The sort
+    is stable, so equal weights keep combinations() order."""
     prefix_tables, completions = split
-    if not (positive and prefix_tables):
-        return prefix_tables, completions, None
-    sums = {c: sum(map(weight, c)) for table in (*prefix_tables, completions) for c, _ in table}
-    return prefix_tables, sorted(completions, key=lambda part: sums[part[0]]), sums
+    if not (prefix_tables and len(completions[0]) > 2):
+        return split
+    return prefix_tables, sorted(completions, key=itemgetter(2))
+
+
+def _scan_weights(system: SetSystem) -> tuple[float, ...] | None:
+    """The weights a weight scan's rows carry (see _split): every set's
+    weight, 1.0 each when the system has none, if model._weight_gate says
+    every weight is positive, else None. The gate's ValueError for a NaN
+    or infinite weight passes through."""
+    if not _weight_gate(system):
+        return None
+    return system.weights or (1.0,) * system.num_sets
 
 
 def greedy_set_cover(system: SetSystem) -> Cover:
@@ -208,44 +219,105 @@ def naive_fsc(system: SetSystem, spec: FairnessSpec) -> Cover:
     return _pad_to_quotas(system, spec, greedy_set_cover(system))
 
 
-def _split(masks: Sequence[int], pools: Sequence[Sequence[int]], counts: Sequence[int]):
+def _split(masks: Sequence[int], pools: Sequence[Sequence[int]], counts: Sequence[int],
+           weights: Sequence[float] | None = None, latest: list | None = None):
     """Every way to take counts[h] ids from pools[h] for each color h, as
     (prefix tables, completions). Each color with a positive count has a
-    table of every (combination, its mask) in combinations() order; the
-    completions are the first table with the most combinations, the prefix
-    tables the others in color order, and a tuple is one prefix
-    (_tuples_of) plus one completion. With no positive count, the one
-    completion is the empty selection. Raises, before building any table,
-    InsufficientColor when a pool is short (see check_pools) and
-    BudgetExceeded when the tables' product holds more than TUPLE_BUDGET
-    tuples."""
+    table of rows (see _table) in combinations() order; the completions
+    are the first table with the most rows, the prefix tables the others
+    in color order, and a tuple is one prefix (_tuples_of) plus one
+    completion. With no positive count, the one completion is the empty
+    selection. Raises, before building any table, InsufficientColor when a
+    pool is short (see check_pools) and BudgetExceeded when the tables'
+    product holds more than TUPLE_BUDGET tuples.
+
+    With weights, indexed by set id, each row also carries its
+    combination's weight. A table of c ids with c <= len(pool) - c is
+    grown one id at a time, from latest[h] (latest holds each color's last
+    table, by color, and is updated) when its rows hold at most c ids,
+    else from the empty combination; no table on the way holds more rows
+    than the last, which the budget covers. A larger c is built directly."""
     check_pools(pools, counts)
     total = math.prod(math.comb(len(pool), c) for pool, c in zip(pools, counts))
     if total > TUPLE_BUDGET:
         raise BudgetExceeded(
             f"{total} candidate tuples exceeds the budget of {TUPLE_BUDGET}"
         )
-    tables = [[(combo, union_of(masks, combo)) for combo in combinations(pool, c)]
-              for pool, c in zip(pools, counts) if c > 0] or [[((), 0)]]
+    tables = []
+    for h, (pool, c) in enumerate(zip(pools, counts)):
+        if c <= 0:
+            continue
+        if weights is None or c > len(pool) - c:
+            rows = _table(masks, pool, c, weights)
+        else:
+            rows = latest[h] if latest else None
+            if not rows or len(rows[0][0]) > c:
+                rows = [((), 0, 0.0)]
+            for size in range(len(rows[0][0]) + 1, c + 1):
+                rows = _table(masks, pool, size, weights, rows)
+        if latest is not None:
+            latest[h] = rows
+        tables.append(rows)
+    if not tables:
+        tables = [[((), 0) if weights is None else ((), 0, 0.0)]]
     j = max(range(len(tables)), key=lambda h: len(tables[h]))
     return tables[:j] + tables[j + 1:], tables[j]
 
 
+def _table(masks: Sequence[int], pool: Sequence[int], c: int,
+           weights: Sequence[float] | None = None, rows=None) -> list:
+    """The row of every combination of c ids of pool, in combinations()
+    order: (combination, mask), or with weights, indexed by set id,
+    (combination, mask, weight), the weight summed left to right in the
+    combination's order. Given rows, the weighted rows of c - 1 ids of
+    pool, each new row extends one of them by one later id of pool, with
+    one OR and one add; rows ending in the same id share their extensions,
+    so the new rows come in combinations() order too."""
+    if rows is None:
+        combos = combinations(pool, c)
+        if weights is None:
+            return [(combo, union_of(masks, combo)) for combo in combos]
+        out = []
+        for combo in combos:
+            m, w = 0, 0.0
+            for i in combo:
+                m |= masks[i]
+                w += weights[i]
+            out.append((combo, m, w))
+        return out
+    items = [((i,), masks[i], weights[i]) for i in pool]
+    later = {i: items[k + 1:] for k, i in enumerate(pool)}
+    return [(combo + one, m | mi, w + wi) for combo, m, w in rows
+            for one, mi, wi in (later[combo[-1]] if combo else items)]
+
+
 def _tuples_of(tables):
-    """Every choice of one (combination, mask) per table, as (parts, the OR
-    of their masks), in product() order."""
-    # Each color's combinations carry their union, so a tuple ORs one mask
-    # per color rather than one per set.
+    """Every choice of one row per table, in product() order, as (parts,
+    the OR of their masks, the sum of their weights in table order, 0.0
+    for rows without weights)."""
+    # Each color's combinations carry their union (and weight), so a tuple
+    # ORs one mask per color rather than one per set.
+    weighed = bool(tables) and len(tables[0][0]) > 2
+    if len(tables) == 1:
+        # One table's rows are the choices: no product to build.
+        for row in tables[0]:
+            yield (row,), row[1], row[2] if weighed else 0.0
+        return
     for parts in product(*tables):
-        mask = 0
-        for _, m in parts:
-            mask |= m
-        yield parts, mask
+        mask, w = 0, 0.0
+        if weighed:
+            for _, m, pw in parts:
+                mask |= m
+                w += pw
+        else:
+            for _, m in parts:
+                mask |= m
+        yield parts, mask, w
 
 
 def _ids(parts) -> tuple[int, ...]:
-    """The ascending ids of a tuple's (combination, mask) parts."""
-    return tuple(sorted([i for combo, _ in parts for i in combo]))
+    """The ascending ids of a tuple's rows."""
+    return tuple(sorted([i for part in parts for i in part[0]]))
 
 
 def _singletons(system: SetSystem):

@@ -32,6 +32,7 @@ from .unweighted import (
     _lightest_candidate,
     _pad_to_quotas,
     _run_rounds,
+    _scan_weights,
     _singletons,
     _split,
     as_rng,
@@ -78,11 +79,11 @@ def naive_wfsc(system: SetSystem, spec: FairnessSpec) -> Cover:
     quota-respecting weight, delta being the weight spread. Raises
     ZeroFractionViolated as naive_fsc does, and ValueError for a NaN or
     infinite weight (model._weight_gate)."""
-    positive = _weight_gate(system)
+    _weight_gate(system)
     sets = ([], _singletons(system))
 
     def pick(state: GreedyState) -> tuple[int, ...] | None:
-        return _lightest_candidate(sets, state.uncovered, system.weight, positive)
+        return _lightest_candidate(sets, state.uncovered, system.weight)
 
     stuck = AllTuplesZeroCoverage("uncovered elements remain but no set touches them")
     cover = _run_rounds(system, pick, stuck)
@@ -97,11 +98,11 @@ def greedy_weighted_allpick(system: SetSystem, spec: FairnessSpec) -> Cover:
     smallest tuple). Guarantee: delta * (ln n + 1) times the optimal
     quota-respecting weight. Raises ValueError for a NaN or infinite
     weight (model._weight_gate)."""
-    positive = _weight_gate(system)
+    weights = _scan_weights(system)
 
     def pick(state: GreedyState) -> tuple[int, ...] | None:
-        split = _split(system.masks, state.remaining, spec.per_round)
-        return _lightest_candidate(split, state.uncovered, system.weight, positive)
+        split = _split(system.masks, state.remaining, spec.per_round, weights)
+        return _lightest_candidate(split, state.uncovered, system.weight)
 
     stuck = AllTuplesZeroCoverage("every quota tuple covers zero new elements")
     return _run_rounds(system, pick, stuck)

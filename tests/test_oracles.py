@@ -181,9 +181,9 @@ def test_oracles_build_at_most_one_id_tuple_per_prefix(monkeypatch, weighted):
     seen, built = [], []
     real_split, real_ids = oracles._split, unweighted._ids
 
-    def split(masks, pools, counts):
+    def split(masks, pools, counts, *weights_and_latest):
         seen.append(tuple(counts))
-        return real_split(masks, pools, counts)
+        return real_split(masks, pools, counts, *weights_and_latest)
 
     def ids(parts):
         built.append(1)
@@ -202,6 +202,45 @@ def test_oracles_build_at_most_one_id_tuple_per_prefix(monkeypatch, weighted):
         assert 0 < len(built) <= prefix_counts(sys_, spec, [c[0] for c in seen]), seed
 
 
+def test_weighted_oracle_builds_each_table_size_once(monkeypatch):
+    # The work as a number, on the corpus above: the weighted oracle
+    # builds each color's rows of a given size at most once per call, and
+    # growing a table one id at a time adds no row beyond the tables it
+    # scans: 328 rows over the corpus.
+    built, scanned = [], []
+    real_table, real_split = unweighted._table, oracles._split
+
+    def table(masks, pool, c, *weights_and_rows):
+        rows = real_table(masks, pool, c, *weights_and_rows)
+        built.append((tuple(pool), c, len(rows)))
+        return rows
+
+    def split(masks, pools, counts, *weights_and_latest):
+        scanned.extend(math.comb(len(pool), c) for pool, c in zip(pools, counts) if c > 0)
+        return real_split(masks, pools, counts, *weights_and_latest)
+
+    monkeypatch.setattr(unweighted, "_table", table)
+    monkeypatch.setattr(oracles, "_split", split)
+    total = 0
+    for seed in range(6):
+        k = 2 + seed % 2
+        sys_ = gen_synthetic(10 + seed, 7 if k == 2 else 4, k, ("uniform", 0.3),
+                             ("uniform", 1.0, 5.0), seed=seed)
+        built.clear()
+        scanned.clear()
+        assert opt_fair_cover(sys_, count_parity(k), weighted=True) is not None, seed
+        sizes = [(pool, c) for pool, c, _ in built]
+        assert len(sizes) == len(set(sizes)), seed
+        assert sum(rows for *_, rows in built) == sum(scanned), seed
+        total += sum(scanned)
+    assert total == 328
+    # A 20-id pool asked for 19 ids builds its 20 rows directly: no table
+    # grown on the way.
+    built.clear()
+    unweighted._split([1 << i for i in range(20)], [list(range(20))], [19], [1.0] * 20, [None])
+    assert [(c, rows) for _, c, rows in built] == [(19, 20)]
+
+
 def test_oracle_budget_and_pool_errors_come_before_any_scoring(monkeypatch):
     # The table builder refuses before building a table: no combination is
     # unioned and no id tuple is built, and the messages are unchanged.
@@ -213,6 +252,7 @@ def test_oracle_budget_and_pool_errors_come_before_any_scoring(monkeypatch):
         return real_union(masks, ids)
 
     monkeypatch.setattr(unweighted, "union_of", union)
+    monkeypatch.setattr(unweighted, "_table", lambda *args: pytest.fail("rows built"))
     monkeypatch.setattr(oracles, "_ids", lambda parts: pytest.fail("ids built"))
     monkeypatch.setattr(unweighted, "TUPLE_BUDGET", 15)
     sys_ = SetSystem(2, [[0], [1]] * 4, [0, 1] * 4)
@@ -238,9 +278,9 @@ def scanned_round_counts(monkeypatch, sys_, spec):
     seen = []
     real = oracles._split
 
-    def counting(masks, pools, counts):
+    def counting(masks, pools, counts, *weights_and_latest):
         seen.append(tuple(counts))
-        return real(masks, pools, counts)
+        return real(masks, pools, counts, *weights_and_latest)
 
     monkeypatch.setattr(oracles, "_split", counting)
     return seen, opt_fair_cover(sys_, spec, weighted=True)

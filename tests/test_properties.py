@@ -17,8 +17,7 @@ from faircover import lp
 from faircover.errors import AllTuplesZeroCoverage, FairCoverError, InsufficientColor
 from faircover.generalized import gfsc, gfwsc
 from faircover.lp import LpProblem, build_mkcc_lp, build_weighted_mkcc_lp, solve
-from faircover.model import (FairnessSpec, SetSystem, _weight_gate, count_parity, fairness_report,
-                             mask_of)
+from faircover.model import FairnessSpec, SetSystem, count_parity, fairness_report, mask_of
 from faircover.multicover import (
     MulticoverInstance,
     audit_harmonic_bound,
@@ -34,6 +33,7 @@ from faircover.oracles import (
 from faircover.unweighted import (
     _best_candidate,
     _lightest_candidate,
+    _scan_weights,
     _split,
     eff_fsc,
     greedy_allpick,
@@ -345,9 +345,11 @@ def assert_best_candidate_matches_reference(system, targets, remaining, per_roun
     covered = brute_quota_tuples(system, remaining, per_round).values()
     hits = any(c & set(targets) for c in covered)
     for ratio in (False, True):
-        split = _split(system.masks, remaining, per_round)
+        # The rounds' rows carry weights only in a weight scan of positive
+        # weights (_scan_weights).
+        split = _split(system.masks, remaining, per_round, _scan_weights(system) if ratio else None)
         if ratio:
-            got = _lightest_candidate(split, unc, system.weight, _weight_gate(system))
+            got = _lightest_candidate(split, unc, system.weight)
         else:
             got = _best_candidate(split, unc)
         want = brute_best_tuple(system, targets, remaining, per_round, ratio)[1] if hits else None

@@ -1,7 +1,9 @@
 """The coverage kernel against plain itertools and frozensets: the quota
-tuple enumerator with its pool and budget checks, and GreedyState's
-coverage count."""
+tuple enumerator with its pool and budget checks, the table builder's
+rows, and GreedyState's coverage count."""
 
+import math
+from itertools import combinations
 from unittest.mock import patch
 
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 from faircover import unweighted
 from faircover.errors import BudgetExceeded, InsufficientColor
-from faircover.model import SetSystem
+from faircover.model import SetSystem, union_of
 from faircover.unweighted import GreedyState, _ids, _split, _tuples_of
 
 from support import brute_quota_tuples
@@ -33,6 +35,24 @@ def _bits(elements):
     return sum(1 << e for e in elements)
 
 
+# Any finite weight: the builder sums whatever it is given.
+WEIGHTS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _fold(weights, ids):
+    """The weights of ids added left to right from 0.0, as sum() adds
+    floats before Python 3.12 (which compensates its float sums)."""
+    w = 0.0
+    for i in ids:
+        w += weights[i]
+    return w
+
+
+def _exact(rows):
+    """rows with each weight as its exact bits."""
+    return [(combo, m, w.hex()) for combo, m, w in rows]
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_quota_tuples_match_itertools_reference(data):
@@ -41,6 +61,9 @@ def test_quota_tuples_match_itertools_reference(data):
     pools = [[i for i in g if kept[i]] for g in sys_.sets_by_color]
     # Counts may name fewer colors than the system has, or more.
     counts = data.draw(st.lists(st.integers(0, 3), max_size=len(pools) + 1))
+    # A weight scan's rows carry weights; the others do not.
+    weights = data.draw(st.none() | st.lists(WEIGHTS, min_size=sys_.num_sets,
+                                             max_size=sys_.num_sets))
     ref = brute_quota_tuples(sys_, pools, counts)
     budget = data.draw(st.integers(0, 2 * len(ref) + 1))
     with patch.object(unweighted, "TUPLE_BUDGET", budget):
@@ -48,24 +71,64 @@ def test_quota_tuples_match_itertools_reference(data):
             # No tuple exists only when a pool is short, which is refused
             # before any table is built whatever the budget.
             with pytest.raises(InsufficientColor):
-                _split(sys_.masks, pools, counts)
+                _split(sys_.masks, pools, counts, weights)
             return
         if len(ref) > budget:
             # The refusal comes before any table is built.
             with pytest.raises(BudgetExceeded):
-                _split(sys_.masks, pools, counts)
+                _split(sys_.masks, pools, counts, weights)
             return
-        prefix_tables, completions = _split(sys_.masks, pools, counts)
-    got = [(prefix + (part,), pm | part[1])
-           for prefix, pm in _tuples_of(prefix_tables) for part in completions]
-    # Each part is one combination with the bits its sets cover in [0, n).
-    for parts, _ in got:
-        for combo, m in parts:
+        prefix_tables, completions = _split(sys_.masks, pools, counts, weights)
+    got = [(prefix + (part,), pm | part[1], pw)
+           for prefix, pm, pw in _tuples_of(prefix_tables) for part in completions]
+    # Each part is one combination with the bits its sets cover in [0, n)
+    # and, given weights, its weight summed in the combination's order; a
+    # prefix's weight adds its parts' in table order.
+    for parts, _, pw in got:
+        for part in parts:
+            combo, m = part[:2]
             assert m == _bits({e for i in combo for e in sys_.sets[i] if 0 <= e < sys_.n})
-    ids_to_mask = [(_ids(parts), mask) for parts, mask in got]
+            assert len(part) == (2 if weights is None else 3)
+            if weights is not None:
+                assert part[2].hex() == _fold(weights, combo).hex()
+        want = 0.0
+        for part in parts[:-1] if weights is not None else ():
+            want += part[2]
+        assert pw.hex() == want.hex()
+    ids_to_mask = [(_ids(parts), mask) for parts, mask, _ in got]
     assert len(ids_to_mask) == len(ref)
     assert all(list(ids) == sorted(ids) for ids, _ in ids_to_mask)
     assert dict(ids_to_mask) == {ids: _bits(elems) for ids, elems in ref.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_table_rows_match_itertools_reference(data):
+    # Pools of up to 10 ids and every size from 0 to len(pool): a size up
+    # to len(pool) / 2 is grown one id at a time, from the empty
+    # combination or from the pool's last rows (latest), and a larger one
+    # is built directly. Either way the rows are the itertools reference,
+    # in order, with the same masks and the same weight bits.
+    num = data.draw(st.integers(0, 12))
+    masks = data.draw(st.lists(st.integers(0, 2**10 - 1), min_size=num, max_size=num))
+    weights = data.draw(st.lists(WEIGHTS, min_size=num, max_size=num))
+    pool = sorted(data.draw(st.sets(st.integers(0, num - 1), max_size=10))) if num else []
+    latest = [None]
+    for size in range(len(pool) + 1):
+        want = [(c, union_of(masks, c), _fold(weights, c)) for c in combinations(pool, size)]
+        for kept in (None, latest):
+            _, rows = _split(masks, [pool], [size], weights, kept)
+            assert _exact(rows) == _exact(want), (size, kept is latest)
+        assert latest[0] is (rows if size else None)
+    # A refusal comes before any row is built, and leaves latest as it was.
+    size, before = data.draw(st.integers(0, len(pool))), latest[0]
+    with patch.object(unweighted, "_table", lambda *args: pytest.fail("rows built")):
+        with pytest.raises(InsufficientColor):
+            _split(masks, [pool], [len(pool) + 1], weights, latest)
+        with patch.object(unweighted, "TUPLE_BUDGET", math.comb(len(pool), size) - 1):
+            with pytest.raises(BudgetExceeded):
+                _split(masks, [pool], [size], weights, latest)
+    assert latest[0] is before
 
 
 @settings(max_examples=300, deadline=None)

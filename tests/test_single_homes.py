@@ -1,9 +1,11 @@
 """Each rule of the exhaustive layer has one home in the package source:
-one loop over a product of combination tables (unweighted._tuples_of), one
-spelling of the weight scans' skip margin (unweighted._SKIP_MARGIN), and
-one reader of the positive-weight test (model._positive_weight) besides
-validate_instance: the weight scans' gate, model._weight_gate. A second
-copy would drift from the first unseen."""
+one builder of combination tables (unweighted._table) beside
+opt_set_cover's own scan, one loop over a product of those tables
+(unweighted._tuples_of), one spelling of the weight scans' skip margin
+(unweighted._SKIP_MARGIN), and one reader of the positive-weight test
+(model._positive_weight) besides validate_instance: the weight scans'
+gate, model._weight_gate. A second copy would drift from the first
+unseen."""
 
 import ast
 from pathlib import Path
@@ -19,34 +21,53 @@ def _trees():
     return [(path.name, ast.parse(path.read_text(), filename=str(path))) for path in modules]
 
 
-def _is_product(func, aliases) -> bool:
-    """Whether func names itertools.product, given the module's aliases of it."""
+def _is_itertools(func, name, aliases) -> bool:
+    """Whether func names itertools.<name>, given the module's aliases of it."""
     if isinstance(func, ast.Name):
         return func.id in aliases
     return (
         isinstance(func, ast.Attribute)
-        and func.attr == "product"
+        and func.attr == name
         and isinstance(func.value, ast.Name)
         and func.value.id == "itertools"
     )
 
 
-def test_package_calls_itertools_product_once():
+def _callers(name):
+    """(module, innermost enclosing function or None) of every call of
+    itertools.<name> in the package."""
     found = []
-    for name, tree in _trees():
+    for module, tree in _trees():
         aliases = {
             alias.asname or alias.name
             for node in ast.walk(tree)
             if isinstance(node, ast.ImportFrom) and node.module == "itertools"
             for alias in node.names
-            if alias.name == "product"
+            if alias.name == name
         }
-        found += [
-            f"{name}:{node.lineno}"
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and _is_product(node.func, aliases)
-        ]
-    assert [where.split(":")[0] for where in found] == ["unweighted.py"], found
+
+        def visit(node, func):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                func = node.name
+            elif isinstance(node, ast.Call) and _is_itertools(node.func, name, aliases):
+                found.append((module, func))
+            for child in ast.iter_child_nodes(node):
+                visit(child, func)
+
+        visit(tree, None)
+    return found
+
+
+def test_package_calls_itertools_product_once():
+    found = _callers("product")
+    assert found == [("unweighted.py", "_tuples_of")], found
+
+
+def test_package_builds_combination_tables_in_one_place():
+    # The table builder, and opt_set_cover's scan by selection size, which
+    # stops at its first cover and so builds no table.
+    found = _callers("combinations")
+    assert sorted(found) == [("oracles.py", "opt_set_cover"), ("unweighted.py", "_table")], found
 
 
 def test_package_spells_the_skip_margin_once():

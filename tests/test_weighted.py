@@ -153,10 +153,10 @@ def test_weighted_allpick_rounds_stop_each_prefix_early(monkeypatch):
         built.append(1)
         return real_ids(parts)
 
-    def weighed(split, weight, positive):
-        prefix_tables, completions, sums = real_weighed(split, weight, positive)
+    def weighed(split):
+        prefix_tables, completions = real_weighed(split)
         every.append(math.prod(map(len, prefix_tables)) * len(completions))
-        return prefix_tables, Counted(completions), sums
+        return prefix_tables, Counted(completions)
 
     monkeypatch.setattr(unweighted, "_ids", ids)
     monkeypatch.setattr(unweighted, "_weighed", weighed)
