@@ -192,8 +192,7 @@ def _lightest_cover(split, full: int, weight, best):
     order and each is dropped on its own weight. Rows without weights
     weigh every full cover. Every cover kept is weighed, so ties break as
     in a scan of every selection."""
-    prefix_tables, completions = _weighed(split)
-    skips = len(completions[0]) > 2
+    prefix_tables, completions, skips = _weighed(split)
     reach = 0
     for part in completions:
         reach |= part[1]

@@ -135,8 +135,8 @@ def _lightest_candidate(split, uncovered: int, weight) -> tuple[int, ...] | None
     weight per uncovered element passes the margin, since no later
     completion can score better. Every other tuple that covers a new
     element is weighed."""
-    prefix_tables, completions = _weighed(split)
-    skips = bool(prefix_tables) and len(completions[0]) > 2
+    prefix_tables, completions, weighed = _weighed(split)
+    skips = weighed and bool(prefix_tables)
     spread = uncovered.bit_count()
     # cut is _SKIP_MARGIN times the best score, inf before the first. The
     # checks multiply it by a count rather than divide by one, so an empty
@@ -159,13 +159,15 @@ def _lightest_candidate(split, uncovered: int, weight) -> tuple[int, ...] | None
 
 
 def _weighed(split):
-    """split with its completions lightest first when its rows carry
-    weights and it has prefix tables; otherwise split as it is. The sort
-    is stable, so equal weights keep combinations() order."""
+    """split as (prefix tables, completions, whether its rows carry
+    weights). When they do and there are prefix tables, the completions
+    come lightest first; the sort is stable, so equal weights keep
+    combinations() order."""
     prefix_tables, completions = split
-    if not (prefix_tables and len(completions[0]) > 2):
-        return split
-    return prefix_tables, sorted(completions, key=itemgetter(2))
+    weighed = len(completions[0]) > 2
+    if weighed and prefix_tables:
+        completions = sorted(completions, key=itemgetter(2))
+    return prefix_tables, completions, weighed
 
 
 def _scan_weights(system: SetSystem) -> tuple[float, ...] | None:

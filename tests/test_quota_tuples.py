@@ -120,8 +120,12 @@ def test_table_rows_match_itertools_reference(data):
             _, rows = _split(masks, [pool], [size], weights, kept)
             assert _exact(rows) == _exact(want), (size, kept is latest)
         assert latest[0] is (rows if size else None)
+    # A table is not grown from rows of more ids than it holds.
+    size = data.draw(st.integers(0, len(pool)))
+    want = [(c, union_of(masks, c), _fold(weights, c)) for c in combinations(pool, size)]
+    assert _exact(_split(masks, [pool], [size], weights, latest)[1]) == _exact(want)
     # A refusal comes before any row is built, and leaves latest as it was.
-    size, before = data.draw(st.integers(0, len(pool))), latest[0]
+    before = latest[0]
     with patch.object(unweighted, "_table", lambda *args: pytest.fail("rows built")):
         with pytest.raises(InsufficientColor):
             _split(masks, [pool], [len(pool) + 1], weights, latest)

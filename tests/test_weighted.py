@@ -154,9 +154,9 @@ def test_weighted_allpick_rounds_stop_each_prefix_early(monkeypatch):
         return real_ids(parts)
 
     def weighed(split):
-        prefix_tables, completions = real_weighed(split)
+        prefix_tables, completions, carried = real_weighed(split)
         every.append(math.prod(map(len, prefix_tables)) * len(completions))
-        return prefix_tables, Counted(completions)
+        return prefix_tables, Counted(completions), carried
 
     monkeypatch.setattr(unweighted, "_ids", ids)
     monkeypatch.setattr(unweighted, "_weighed", weighed)
