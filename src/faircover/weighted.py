@@ -79,7 +79,7 @@ def naive_wfsc(system: SetSystem, spec: FairnessSpec) -> Cover:
     quota-respecting weight, delta being the weight spread. Raises
     ZeroFractionViolated as naive_fsc does, and ValueError for a NaN or
     infinite weight (model._weight_gate)."""
-    _weight_gate(system)
+    _weight_gate(system)  # a one-set scan skips nothing; the gate only refuses
     sets = ([], _singletons(system))
 
     def pick(state: GreedyState) -> tuple[int, ...] | None:
