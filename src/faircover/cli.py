@@ -316,7 +316,7 @@ def _cmd_compare(args) -> int:
         system = _load_system(trial_args)
         # Build the cached views now, or the first algorithm listed would be
         # timed building them for every later one.
-        for view in ("masks", "sets_by_color", "element_sets", "incidence"):
+        for view in ("masks", "sets_by_color", "element_sets"):
             getattr(system, view)
         trials.append((trial_args, system, _make_spec(args, system)))
 

@@ -493,8 +493,12 @@ def _relaxation_parts(
         A[h, pos : pos + len(g)] = 1.0
         pos += len(g)
     # Elements no remaining set touches get the row 0 - y_e >= 0,
-    # which pins y_e to zero without special casing.
-    A[nq : nq + ny, :nx] = system.incidence[np.ix_(uncovered, x_ids)]
+    # which pins y_e to zero without special casing. Row r of bits is the
+    # mask of set x_ids[r], bit e in column e.
+    width = (system.n + 7) // 8
+    data = b"".join([system.masks[i].to_bytes(width, "little") for i in x_ids])
+    bits = np.unpackbits(np.frombuffer(data, np.uint8), bitorder="little")
+    A[nq : nq + ny, :nx] = bits.reshape(nx, 8 * width)[:, uncovered].T
     A[nq + np.arange(ny), nx + np.arange(ny)] = -1.0
     relations = ("=",) * nq + (">=",) * (ny + target_row)
     return uncovered, x_ids, nx, ny, A, relations, rhs

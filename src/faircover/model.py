@@ -17,11 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import zip_longest
+from operator import add
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .errors import InsufficientColor, NegativeFraction, SumNotOne, ZeroFractionViolated
 
@@ -42,6 +41,24 @@ def union_of(masks: Sequence[int], ids: Iterable[int]) -> int:
     for i in ids:
         out |= masks[i]
     return out
+
+
+def _levels(masks: Sequence[int], ids: Iterable[int], got: list[int]) -> list[int]:
+    """got with the sets of ids added: entry k holds the elements covered
+    more than k times, whatever order the sets are read in."""
+    got = list(got)
+    for i in ids:
+        for k in range(len(got) - 1, 0, -1):
+            got[k] |= got[k - 1] & masks[i]
+        got[0] |= masks[i]
+    return got
+
+
+def _add_up(values: Iterable[float]) -> float:
+    """The sum of values, added left to right from 0.0. Every weight that
+    can decide a tie is summed so: sum() compensates float sums from
+    Python 3.12 on, which would break such ties by interpreter."""
+    return reduce(add, values, 0.0)
 
 
 # _BYTE_BITS[v]: the set bits of the byte value v, ascending.
@@ -142,17 +159,6 @@ class SetSystem:
                 if 0 <= e < self.n:
                     containing[e].append(i)
         return tuple(tuple(c) for c in containing)
-
-    @cached_property
-    def incidence(self) -> np.ndarray:
-        """Read-only n x num_sets 0/1 float matrix: entry (e, i) is 1 when
-        set i contains element e (elements outside [0, n) are ignored, as
-        in element_sets)."""
-        inc = np.zeros((self.n, self.num_sets))
-        for e, containing in enumerate(self.element_sets):
-            inc[e, list(containing)] = 1.0
-        inc.flags.writeable = False
-        return inc
 
     @property
     def group_sizes(self) -> tuple[int, ...]:
@@ -344,7 +350,7 @@ class Cover:
         counts = [0] * system.num_colors
         for i in selected:
             counts[system.colors[i]] += 1
-        total = float(sum(system.weight(i) for i in selected))
+        total = _add_up(map(system.weight, selected))
         return cls(selected, tuple(counts), rounds, total)
 
     @property

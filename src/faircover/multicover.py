@@ -16,13 +16,14 @@ rounds carry no such bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .errors import AuditFailure, InfeasibleRequirement, NoProgress
 from .lp import LpSolver, solve
-from .model import Cover, FairnessSpec, SetSystem, elements_of, union_of
+from .model import Cover, FairnessSpec, SetSystem, _levels, elements_of, mask_of, union_of
 from .unweighted import (
     GreedyState,
     _run_rounds,
@@ -51,6 +52,13 @@ class MulticoverInstance:
             raise ValueError("requirements must be at least 1")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "requirements", reqs)
+
+    @cached_property
+    def wants(self) -> tuple[int, ...]:
+        """wants[k]: the mask of the elements that need more than k covers."""
+        reqs = self.requirements
+        return tuple(mask_of((j for j, r in enumerate(reqs) if r > k), len(reqs))
+                     for k in range(max(reqs, default=0)))
 
 
 @dataclass(frozen=True)
@@ -112,8 +120,9 @@ def fair_multicover_greedy(
     round_size / (alive elements the round touched).
 
     The run's GreedyState tracks alive elements in place of uncovered ones;
-    the commit rule prices the round, advances the demand counts and resets
-    the state to the elements still alive.
+    the commit rule prices the round, adds it to the coverage levels
+    (model._levels) and resets the state to the elements still alive: those
+    in some instance.wants[k] but not in levels[k].
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
@@ -125,7 +134,8 @@ def fair_multicover_greedy(
         if instance.requirements[j] > have:
             raise InfeasibleRequirement(j, instance.requirements[j], have)
 
-    counts = [0] * system.n
+    wants = instance.wants
+    levels = [0] * len(wants)
     round_size = sum(spec.per_round)
     entries: list[PriceEntry] = []
     occurrences = [0] * system.n
@@ -144,13 +154,11 @@ def fair_multicover_greedy(
         for j in touched:
             occurrences[j] += 1
             entries.append(PriceEntry(len(state.rounds), j, occurrences[j], price))
-        for i in ids:
-            for j in elements_of(system.masks[i] & state.uncovered):
-                counts[j] += 1
-                if counts[j] >= instance.requirements[j]:
-                    alive &= ~(1 << j)
+        levels[:] = _levels(system.masks, ids, levels)
         state.commit(system, ids)
-        state.uncovered = alive
+        state.uncovered = 0
+        for want, level in zip(wants, levels):
+            state.uncovered |= want & ~level
 
     # Every requirement is at least one, so every element starts alive.
     stuck = NoProgress("no quota tuple touches an alive element")

@@ -11,10 +11,10 @@ each round count t they take the split of _split, so one pool check and
 one TUPLE_BUDGET over the tables' whole product bound them and the rounds,
 and a refusal comes before any row is built; _tuples_of is the one loop
 over a product of tables; the weighted scan asks model._weight_gate once
-(_scan_weights), which refuses a NaN or infinite weight, and skips by the
-one margin, _SKIP_MARGIN, only when every weight is positive. Then each
-row carries its combination's weight and the completions come lightest
-first (_weighed), as in the rounds.
+(_scan_weights), which refuses a NaN or infinite weight, each row carries
+its combination's weight and the completions come lightest first
+(_lightest_first), as in the rounds, and it skips by the one margin,
+_SKIP_MARGIN, only when every weight is positive.
 
 The largest table at t, of C combinations, holds the completions; the
 product of the other tables, P selections, holds the prefixes. Work per t:
@@ -23,17 +23,15 @@ product of the other tables, P selections, holds the prefixes. Work per t:
   Colors own disjoint ids, so a prefix's first full completion in
   combinations() order has the least ids of its covers; the scan of that
   prefix stops there.
-- opt_fair_cover(weighted=True), with positive weights: each color's
-  table of c ids, while c is at most half its pool, grows one id at a
-  time from its table at t - 1, with one OR and one add per row (larger
-  ones are built directly), so each size is built once per call. With two or more
-  colors of positive share: one sort of the C completions by weight, then
-  each prefix scans them lightest first and stops once prefix plus
-  completion weight passes the best cover's by the margin. At most P * C
-  mask tests; only full covers within the margin are weighed, in
-  ascending id order. With one such color, the C completions are scanned
-  in combinations() order and ones past the margin are dropped unweighed;
-  with other weights, every full cover is weighed.
+- opt_fair_cover(weighted=True): each color's table of c ids, while c is
+  at most half its pool, grows one id at a time from its table at t - 1,
+  with one OR and one add per row (larger ones are built directly), so
+  each size is built once per call. One sort of the C completions by
+  weight, then each prefix scans them lightest first. At most P * C mask
+  tests; full covers are weighed in ascending id order. With positive
+  weights, a prefix's scan stops once prefix plus completion weight
+  passes the best cover's by the margin, so only full covers within it
+  are weighed; with other weights, every full cover is weighed.
 - opt_fair_multicover: at most P * C demand tests, each adding one
   completion to coverage levels computed once per prefix, and one id
   tuple per prefix: its first completion meeting every demand.
@@ -51,9 +49,9 @@ from itertools import accumulate, combinations
 from typing import Sequence
 
 from .errors import AllTuplesZeroCoverage, BudgetExceeded, NoProgress
-from .model import Cover, FairnessSpec, SetSystem, mask_of, union_of
+from .model import Cover, FairnessSpec, SetSystem, _add_up, _levels, mask_of, union_of
 from .unweighted import (_SKIP_MARGIN, _best_candidate, _ids, _lightest_candidate,
-                         _scan_weights, _split, _tuples_of, _weighed)
+                         _lightest_first, _scan_weights, _split, _tuples_of)
 
 MAX_SETS_EXACT = 22
 MAX_SETS_EXACT_MULTI = 20
@@ -118,18 +116,17 @@ def opt_fair_cover(
         raise BudgetExceeded(f"{mu} sets exceeds exact budget {MAX_SETS_EXACT}")
     full = (1 << system.n) - 1
     best: tuple | None = None  # (weight, size, selection) for weighted mode
-    # weights: the one weight sequence of a run whose weights are all
-    # positive; the rows carry it, the bound reads it and every cover is
-    # weighed by it. The bound grows with t only then, so other weights
-    # scan every t, weighed by system.weight.
+    # weights: the one weight sequence of a weighted run; the rows carry
+    # it and every cover is weighed by it. The bound grows with t only when
+    # every weight is positive, so other weights scan every t.
     # lightest[h][c]: the weight of the c lightest sets of color h.
     # latest: each color's last rows, which the next t grows from.
     weights = lightest = latest = None
-    weight = system.weight
+    positive = False
     if weighted:
-        weights = _scan_weights(system)
-        if weights is not None:
-            weight, latest = weights.__getitem__, [None] * len(system.sets_by_color)
+        weights, positive = _scan_weights(system)
+        latest = [None] * len(system.sets_by_color)
+        if positive:
             lightest = [
                 list(accumulate(sorted(weights[i] for i in g), initial=0.0))
                 for g in system.sets_by_color
@@ -147,7 +144,7 @@ def opt_fair_cover(
                 return Cover.from_selection(system, found)
             continue
         split = _split(system.masks, system.sets_by_color, counts, weights, latest)
-        best = _lightest_cover(split, full, weight, best)
+        best = _lightest_cover(split, full, weights, positive, best)
     if best is not None:
         return Cover.from_selection(system, best[2])
     return None
@@ -178,40 +175,37 @@ def _least_cover(split, full: int) -> tuple[int, ...] | None:
     return found
 
 
-def _lightest_cover(split, full: int, weight, best):
+def _lightest_cover(split, full: int, weights: Sequence[float], positive: bool, best):
     """best, or a smaller (weight, size, ids) key of a full cover made of
-    one prefix and one completion, its weight summed in ascending id order.
+    one prefix and one completion, its weights summed in ascending id
+    order.
 
-    Rows carry weights only when every weight is positive (see _split).
-    Then a cover whose weight summed row by row passes best's by more than
-    _SKIP_MARGIN is dropped unweighed. Given prefix tables, the
-    completions are sorted by weight (_weighed, as in the rounds); each
-    prefix scans them lightest first and stops at the first one dropped;
+    The completions are sorted by weight (_lightest_first, as in the
+    rounds), and each prefix scans them lightest first. When every weight
+    is positive, the scan of a prefix stops at the first cover whose
+    weight, summed row by row, passes best's by more than _SKIP_MARGIN;
     best includes the prefix's first full completion once it is weighed.
-    With a single prefix, the completions are scanned in combinations()
-    order and each is dropped on its own weight. Rows without weights
-    weigh every full cover. Every cover kept is weighed, so ties break as
-    in a scan of every selection."""
-    prefix_tables, completions, skips = _weighed(split)
+    Every cover kept is weighed, so ties break as in a scan of every
+    selection."""
+    prefix_tables, completions = _lightest_first(split)
     reach = 0
     for part in completions:
         reach |= part[1]
-    # cut is read only when rows carry weights.
-    cut = math.inf if best is None else best[0] * _SKIP_MARGIN
+    cut = math.inf if best is None or not positive else best[0] * _SKIP_MARGIN
     for prefix, pm, wp in _tuples_of(prefix_tables):
         if pm | reach != full:
             continue
         for part in completions:
-            if skips and wp + part[2] > cut:
-                if prefix_tables:
-                    break
-                continue
+            if wp + part[2] > cut:
+                break
             if pm | part[1] != full:
                 continue
             sel = _ids(prefix + (part,))
-            key = (sum(map(weight, sel)), len(sel), sel)
+            key = (_add_up(map(weights.__getitem__, sel)), len(sel), sel)
             if best is None or key < best:
-                best, cut = key, key[0] * _SKIP_MARGIN
+                best = key
+                if positive:
+                    cut = key[0] * _SKIP_MARGIN
     return best
 
 
@@ -232,14 +226,17 @@ def opt_mkcc(
     a NaN or infinite weight raises ValueError (model._weight_gate).
     """
     unc = mask_of(uncovered, system.n)
-    weights = _scan_weights(system) if weighted_ratio else None
-    split = _split(system.masks, remaining_sets, per_round, weights)
-    ids = (_lightest_candidate(split, unc, system.weight) if weighted_ratio
-           else _best_candidate(split, unc))
+    if weighted_ratio:
+        weights, positive = _scan_weights(system)
+        split = _split(system.masks, remaining_sets, per_round, weights)
+        ids = _lightest_candidate(split, unc, weights, positive)
+    else:
+        ids = _best_candidate(_split(system.masks, remaining_sets, per_round), unc)
     if ids is None:
         raise AllTuplesZeroCoverage("no tuple with positive coverage exists")
     new = (union_of(system.masks, ids) & unc).bit_count()
-    return ids, (sum(map(system.weight, ids)) / new if weighted_ratio else float(new))
+    return ids, (_add_up(map(weights.__getitem__, ids)) / new if weighted_ratio
+                 else float(new))
 
 
 def opt_fair_multicover(instance, spec: FairnessSpec) -> Cover | None:
@@ -247,17 +244,12 @@ def opt_fair_multicover(instance, spec: FairnessSpec) -> Cover | None:
     coverage requirement, or None if impossible. Capped at
     MAX_SETS_EXACT_MULTI sets."""
     system: SetSystem = instance.base
-    reqs = instance.requirements
     mu = system.num_sets
     if mu > MAX_SETS_EXACT_MULTI:
         raise BudgetExceeded(
             f"{mu} sets exceeds exact budget {MAX_SETS_EXACT_MULTI}"
         )
-    # wants[k]: the elements that need more than k covers.
-    wants = [
-        mask_of((j for j in range(system.n) if reqs[j] > k), system.n)
-        for k in range(max(reqs, default=0))
-    ]
+    wants = instance.wants
     masks = system.masks
     for t in _fair_sizes(system, spec):
         split = _split(masks, system.sets_by_color, [t * p for p in spec.per_round])
@@ -277,14 +269,3 @@ def opt_fair_multicover(instance, spec: FairnessSpec) -> Cover | None:
         if found is not None:
             return Cover.from_selection(system, found)
     return None
-
-
-def _levels(masks: Sequence[int], ids, got: list[int]) -> list[int]:
-    """got with the sets of ids added: entry k holds the elements covered
-    more than k times, whatever order the sets are read in."""
-    got = list(got)
-    for i in ids:
-        for k in range(len(got) - 1, 0, -1):
-            got[k] |= got[k - 1] & masks[i]
-        got[0] |= masks[i]
-    return got

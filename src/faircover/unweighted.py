@@ -12,10 +12,10 @@ then tests the completions against it. A one-set scan is a split with no
 prefix table. _best_candidate takes the argmax of new coverage and
 _lightest_candidate the argmin of weight per new element. A weight scan
 asks model._weight_gate once per run (_scan_weights), which refuses a NaN
-or infinite weight; only when every weight is positive may it skip a
-candidate or stop a prefix early, and then each row of its tables carries
-its combination's weight, summed as the row is built, and it scans the
-completions lightest first (_weighed).
+or infinite weight; each row of its tables carries its combination's
+weight, summed as the row is built, and it scans the completions
+lightest first (_lightest_first). Only when every weight is positive may
+it skip a candidate or stop a prefix early.
 
 Determinism contract: all ties break toward the smallest set index (for
 single picks) or the lexicographically smallest sorted id tuple (for round
@@ -35,8 +35,8 @@ import numpy as np
 
 from .errors import BudgetExceeded, NoProgress, NumericalFailure
 from .lp import LpSolver, build_mkcc_lp, round_laws, solve
-from .model import (Cover, FairnessSpec, SetSystem, _weight_gate, check_pools, elements_of,
-                    quota_counts, union_of)
+from .model import (Cover, FairnessSpec, SetSystem, _add_up, _weight_gate, check_pools,
+                    elements_of, quota_counts, union_of)
 
 # Refuse any quota-tuple enumeration (exhaustive rounds and the oracles)
 # with more candidate tuples than this.
@@ -122,62 +122,58 @@ def _best_candidate(split, uncovered: int) -> tuple[int, ...] | None:
     return best_ids
 
 
-def _lightest_candidate(split, uncovered: int, weight) -> tuple[int, ...] | None:
-    """The ids of the tuple of split with the least total weight (summed
-    in ascending id order) per newly covered element of uncovered; ties go
-    to the smallest ids, and None means no tuple covers a new element.
+def _lightest_candidate(split, uncovered: int, weights: Sequence[float],
+                        positive: bool) -> tuple[int, ...] | None:
+    """The ids of the tuple of split (see _split; its rows carry weights)
+    with the least total weight (weights summed in ascending id order)
+    per newly covered element of uncovered; ties go to the smallest ids,
+    and None means no tuple covers a new element.
 
-    Given prefix tables whose rows carry weights (see _split; a run's rows
-    do only when every weight is positive), each prefix scans the
-    completions lightest first (_weighed): a tuple whose weight, summed
-    row by row, is more than _SKIP_MARGIN times the best score per new
-    element is skipped unweighed, and the scan of a prefix stops once that
-    weight per uncovered element passes the margin, since no later
-    completion can score better. Every other tuple that covers a new
-    element is weighed."""
-    prefix_tables, completions, weighed = _weighed(split)
-    skips = weighed and bool(prefix_tables)
+    Each prefix scans the completions lightest first (_lightest_first).
+    When every weight is positive, a tuple whose weight, summed row by
+    row, is more than _SKIP_MARGIN times the best score per new element
+    is skipped unweighed, and the scan of a prefix stops once that weight
+    per uncovered element passes the margin, since no later completion
+    can score better. Every other tuple that covers a new element is
+    weighed."""
+    prefix_tables, completions = _lightest_first(split)
     spread = uncovered.bit_count()
-    # cut is _SKIP_MARGIN times the best score, inf before the first. The
-    # checks multiply it by a count rather than divide by one, so an empty
-    # uncovered mask needs no guard: inf * 0 is NaN, and no weight passes it.
+    # cut is _SKIP_MARGIN times the best score once positive weights have
+    # one, else inf. The checks multiply it by a count rather than divide
+    # by one, so an empty uncovered mask needs no guard: inf * 0 is NaN,
+    # and no weight passes it.
     best_ids, best, cut = None, 0.0, math.inf
     for prefix, pm, wp in _tuples_of(prefix_tables):
         for part in completions:
-            if skips:
-                w = wp + part[2]
-                if w > cut * spread:
-                    break
+            w = wp + part[2]
+            if w > cut * spread:
+                break
             new = ((pm | part[1]) & uncovered).bit_count()
-            if new == 0 or skips and w > cut * new:
+            if new == 0 or w > cut * new:
                 continue
             ids = _ids(prefix + (part,))
-            score = sum(map(weight, ids)) / new
+            score = _add_up(map(weights.__getitem__, ids)) / new
             if best_ids is None or score < best or (score == best and ids < best_ids):
-                best_ids, best, cut = ids, score, score * _SKIP_MARGIN
+                best_ids, best = ids, score
+                if positive:
+                    cut = score * _SKIP_MARGIN
     return best_ids
 
 
-def _weighed(split):
-    """split as (prefix tables, completions, whether its rows carry
-    weights). When they do and there are prefix tables, the completions
-    come lightest first; the sort is stable, so equal weights keep
-    combinations() order."""
+def _lightest_first(split):
+    """split with its completions lightest first. The sort is stable, so
+    equal weights keep combinations() order."""
     prefix_tables, completions = split
-    weighed = len(completions[0]) > 2
-    if weighed and prefix_tables:
-        completions = sorted(completions, key=itemgetter(2))
-    return prefix_tables, completions, weighed
+    return prefix_tables, sorted(completions, key=itemgetter(2))
 
 
-def _scan_weights(system: SetSystem) -> tuple[float, ...] | None:
-    """The weights a weight scan's rows carry (see _split): every set's
-    weight, 1.0 each when the system has none, if model._weight_gate says
-    every weight is positive, else None. The gate's ValueError for a NaN
-    or infinite weight passes through."""
-    if not _weight_gate(system):
-        return None
-    return system.weights or (1.0,) * system.num_sets
+def _scan_weights(system: SetSystem) -> tuple[tuple[float, ...], bool]:
+    """The weights a weight scan's rows carry (see _split), every set's
+    weight, 1.0 each when the system has none, and whether
+    model._weight_gate says every weight is positive. The gate's
+    ValueError for a NaN or infinite weight passes through."""
+    positive = _weight_gate(system)
+    return system.weights or (1.0,) * system.num_sets, positive
 
 
 def greedy_set_cover(system: SetSystem) -> Cover:

@@ -25,7 +25,7 @@ from .errors import (
     ResampleCapExceeded,
 )
 from .lp import LpSolver, build_weighted_mkcc_lp, round_laws, solve
-from .model import Cover, FairnessSpec, SetSystem, _weight_gate, elements_of
+from .model import Cover, FairnessSpec, SetSystem, elements_of
 from .unweighted import (
     GreedyState,
     _draw,
@@ -33,8 +33,8 @@ from .unweighted import (
     _pad_to_quotas,
     _run_rounds,
     _scan_weights,
-    _singletons,
     _split,
+    _table,
     as_rng,
     sample_round_tuple,  # the sweep samples through _draw; perfbench's tests read this name
 )
@@ -79,11 +79,11 @@ def naive_wfsc(system: SetSystem, spec: FairnessSpec) -> Cover:
     quota-respecting weight, delta being the weight spread. Raises
     ZeroFractionViolated as naive_fsc does, and ValueError for a NaN or
     infinite weight (model._weight_gate)."""
-    _weight_gate(system)  # a one-set scan skips nothing; the gate only refuses
-    sets = ([], _singletons(system))
+    weights, positive = _scan_weights(system)
+    sets = ([], _table(system.masks, range(system.num_sets), 1, weights))
 
     def pick(state: GreedyState) -> tuple[int, ...] | None:
-        return _lightest_candidate(sets, state.uncovered, system.weight)
+        return _lightest_candidate(sets, state.uncovered, weights, positive)
 
     stuck = AllTuplesZeroCoverage("uncovered elements remain but no set touches them")
     cover = _run_rounds(system, pick, stuck)
@@ -98,11 +98,11 @@ def greedy_weighted_allpick(system: SetSystem, spec: FairnessSpec) -> Cover:
     smallest tuple). Guarantee: delta * (ln n + 1) times the optimal
     quota-respecting weight. Raises ValueError for a NaN or infinite
     weight (model._weight_gate)."""
-    weights = _scan_weights(system)
+    weights, positive = _scan_weights(system)
 
     def pick(state: GreedyState) -> tuple[int, ...] | None:
         split = _split(system.masks, state.remaining, spec.per_round, weights)
-        return _lightest_candidate(split, state.uncovered, system.weight)
+        return _lightest_candidate(split, state.uncovered, weights, positive)
 
     stuck = AllTuplesZeroCoverage("every quota tuple covers zero new elements")
     return _run_rounds(system, pick, stuck)

@@ -3,11 +3,19 @@ own enumeration code so checks never share a code path with what they check."""
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations, islice, product
+from operator import add
 
 import numpy as np
 
 from faircover.model import SetSystem
+
+
+def id_order_weight(system: SetSystem, ids) -> float:
+    """The weights of ids added left to right from 0.0, as on every
+    interpreter (sum() compensates float sums from Python 3.12 on)."""
+    return reduce(add, map(system.weight, ids), 0.0)
 
 
 # Candidate bases enumerate_lp solves at once: about 3 MB at ten variables.
@@ -128,7 +136,7 @@ def brute_best_tuple(system, targets, remaining, per_round, ratio=False):
         if ratio:
             if new == 0:
                 continue
-            key = (sum(system.weight(i) for i in ids) / new, ids)
+            key = (id_order_weight(system, ids) / new, ids)
         else:
             key = (-new, ids)
         if best is None or key < best:
@@ -217,7 +225,7 @@ def lightest_fair_cover(system: SetSystem, per_round):
     """The least (weight, size, selection) over fair_covers, the weight
     summed in ascending id order; None when there is no fair cover."""
     return min(
-        ((sum(system.weight(i) for i in sel), len(sel), sel)
+        ((id_order_weight(system, sel), len(sel), sel)
          for sel in fair_covers(system, per_round)),
         default=None,
     )

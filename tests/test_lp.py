@@ -408,6 +408,24 @@ def test_mkcc_lp_requires_uncovered_elements():
         build_mkcc_lp(sys_, sys_.sets_by_color, [], (1, 1))
 
 
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 70])
+def test_coverage_block_matches_the_sets(n):
+    # Entry (e, i) of the coverage rows is 1 exactly when set i holds
+    # element e; ids outside [0, n) are ignored, as the masks ignore them.
+    rng = np.random.default_rng(n)
+    sets = [rng.integers(-3, n + 3, size=rng.integers(0, 9)).tolist() for _ in range(9)]
+    sys_ = SetSystem(n, sets, [0, 0, 0, 1, 1, 1, 2, 2, 2], [1.0] * 9)
+    remaining = [[0, 2], [3, 4, 5], [6, 8]]
+    uncovered = sorted(rng.choice(n, size=(n + 1) // 2, replace=False).tolist())
+    for per_round in ((1, 1, 1), (1, 0, 2)):
+        x_ids = [i for g in lp_variable_order(remaining, per_round) for i in g]
+        nq = sum(p > 0 for p in per_round)
+        want = [[float(e in sys_.sets[i]) for i in x_ids] for e in uncovered]
+        for lp in (build_mkcc_lp(sys_, remaining, uncovered, per_round),
+                   build_weighted_mkcc_lp(sys_, remaining, uncovered, per_round, 1)):
+            assert lp.A[nq : nq + len(uncovered), : len(x_ids)].tolist() == want
+
+
 def test_mkcc_relaxation_dominates_every_tuple():
     # The relaxation optimum upper-bounds the best integral round.
     sys_ = SetSystem(

@@ -48,6 +48,7 @@ from support import (
     brute_best_tuple,
     brute_quota_tuples,
     fair_covers,
+    id_order_weight,
     least_fair_multicover,
     lightest_fair_cover,
     lightest_tuple_weight,
@@ -301,7 +302,7 @@ def test_weighted_oracle_matches_the_itertools_reference(case):
         assert cover is None
     else:
         assert cover is not None and cover.selected == best[2]
-        assert sum(system.weight(i) for i in cover.selected) == best[0]
+        assert id_order_weight(system, cover.selected) == best[0]
 
 
 @settings(max_examples=100, deadline=None)
@@ -345,13 +346,13 @@ def assert_best_candidate_matches_reference(system, targets, remaining, per_roun
     covered = brute_quota_tuples(system, remaining, per_round).values()
     hits = any(c & set(targets) for c in covered)
     for ratio in (False, True):
-        # The rounds' rows carry weights only in a weight scan of positive
-        # weights (_scan_weights).
-        split = _split(system.masks, remaining, per_round, _scan_weights(system) if ratio else None)
+        # The weight rounds' rows carry the weights _scan_weights gives.
         if ratio:
-            got = _lightest_candidate(split, unc, system.weight)
+            weights, positive = _scan_weights(system)
+            split = _split(system.masks, remaining, per_round, weights)
+            got = _lightest_candidate(split, unc, weights, positive)
         else:
-            got = _best_candidate(split, unc)
+            got = _best_candidate(_split(system.masks, remaining, per_round), unc)
         want = brute_best_tuple(system, targets, remaining, per_round, ratio)[1] if hits else None
         assert got == want, ratio
 
@@ -372,6 +373,23 @@ def test_best_candidate_matches_the_reference_on_signed_weights(case, data):
     state = _round_state(system, spec.per_round, data)
     if state is not None:
         assert_best_candidate_matches_reference(system, *state, spec.per_round)
+
+
+@settings(max_examples=50, deadline=None)
+@given(order_sensitive_instances(weights=SIGNED_WEIGHTS), st.data())
+def test_signed_weight_scans_carry_weighted_rows(case, data):
+    # Whatever the weights' signs, every row of a weight scan's split is
+    # (combination, mask, weight), the weight added in combination order.
+    system, spec, _ = case
+    state = _round_state(system, spec.per_round, data)
+    if state is None:
+        return
+    prefix_tables, completions = _split(system.masks, state[1], spec.per_round,
+                                        _scan_weights(system)[0])
+    for rows in (*prefix_tables, completions):
+        for combo, mask, w in rows:
+            assert mask == mask_of({e for i in combo for e in system.sets[i]}, system.n)
+            assert w == id_order_weight(system, combo)
 
 
 @pytest.mark.parametrize("system", [

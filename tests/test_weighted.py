@@ -125,6 +125,14 @@ def test_weighted_allpick_skips_useless_tuples_then_fails_loud():
         greedy_weighted_allpick(sys_, SPEC2)
 
 
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("weights", [None, []], ids=["unweighted", "weighted"])
+def test_naive_wfsc_without_sets_raises_typed(n, weights):
+    # No set touches any element: a typed failure, with no row to probe.
+    with pytest.raises(AllTuplesZeroCoverage):
+        naive_wfsc(SetSystem(n, [], [], weights), count_parity(1))
+
+
 def test_weighted_allpick_budget_refusal():
     # 4000 * 4000 tuples per round is past TUPLE_BUDGET.
     sys_ = weighted_instance(0, n=10, m=4000)
@@ -141,7 +149,7 @@ def test_weighted_allpick_rounds_stop_each_prefix_early(monkeypatch):
     # per uncovered element passes the best score by the margin: at most
     # 438 of the rounds' 586 tuples get a coverage test.
     built, scanned, every = [], [], []
-    real_ids, real_weighed = unweighted._ids, unweighted._weighed
+    real_ids, real_lightest_first = unweighted._ids, unweighted._lightest_first
 
     class Counted(list):
         def __iter__(self):
@@ -153,13 +161,13 @@ def test_weighted_allpick_rounds_stop_each_prefix_early(monkeypatch):
         built.append(1)
         return real_ids(parts)
 
-    def weighed(split):
-        prefix_tables, completions, carried = real_weighed(split)
+    def lightest_first(split):
+        prefix_tables, completions = real_lightest_first(split)
         every.append(math.prod(map(len, prefix_tables)) * len(completions))
-        return prefix_tables, Counted(completions), carried
+        return prefix_tables, Counted(completions)
 
     monkeypatch.setattr(unweighted, "_ids", ids)
-    monkeypatch.setattr(unweighted, "_weighed", weighed)
+    monkeypatch.setattr(unweighted, "_lightest_first", lightest_first)
     for seed in range(6):
         k = 2 + seed % 2
         sys_ = gen_synthetic(10 + seed, 7 if k == 2 else 4, k, ("uniform", 0.3),
